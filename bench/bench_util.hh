@@ -18,7 +18,6 @@
 #include "common/table.hh"
 #include "harness/bench_main.hh"
 #include "harness/runner.hh"
-#include "harness/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace acr::bench
@@ -29,25 +28,9 @@ inline constexpr unsigned kDefaultCheckpoints = 25;
 inline constexpr unsigned kDefaultThreads = 8;
 
 /**
- * One sweep point per (workload × config), workload-major: the result
- * for workload w, config c lands at index w * configs.size() + c —
- * the same order the serial benches used to visit the grid.
- */
-inline std::vector<harness::SweepPoint>
-crossWorkloads(const std::vector<harness::ExperimentConfig> &configs)
-{
-    std::vector<harness::SweepPoint> points;
-    points.reserve(workloads::allWorkloadNames().size() * configs.size());
-    for (const auto &name : workloads::allWorkloadNames())
-        for (const auto &config : configs)
-            points.push_back({name, config});
-    return points;
-}
-
-/**
- * The BenchMain grid equivalent of crossWorkloads: (workload × config),
- * workload-major over the context's selected workloads, every point on
- * a @p threads-core simulated machine.
+ * One grid point per (workload × config), workload-major: the result
+ * for workload w, config c lands at index w * configs.size() + c.
+ * Every point runs on a @p threads-core simulated machine.
  */
 inline std::vector<harness::GridPoint>
 crossGrid(const std::vector<std::string> &names,

@@ -9,12 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.hh"
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "cpu/core.hh"
 #include "ckpt/log.hh"
 #include "energy/energy_model.hh"
-#include "harness/sweep.hh"
 #include "isa/builder.hh"
 #include "mem/main_memory.hh"
 #include "slice/engine.hh"
@@ -186,32 +186,30 @@ BENCHMARK(BM_RecomputeVsRestoreCrossover)
     ->Arg(120);
 
 /**
- * End-to-end throughput of the Sweep fan-out as a function of the job
- * count (the argument): a fixed 8-point grid over a pre-warmed shared
- * Runner, so the measurement isolates experiment execution plus pool
- * overhead from one-time program/slice-pass construction. On a
- * multi-core host, items/s should scale with the argument until it
- * reaches the core count.
+ * End-to-end throughput of the in-process ShardedSweep fan-out as a
+ * function of the job count (the argument): a fixed 8-point grid over
+ * a pre-warmed shared RunnerPool, so the measurement isolates
+ * experiment execution plus pool overhead from one-time
+ * program/slice-pass construction. On a multi-core host, items/s
+ * should scale with the argument until it reaches the core count.
  */
 void
 BM_SweepFanout(benchmark::State &state)
 {
-    static harness::Runner runner(4);
-    std::vector<harness::SweepPoint> points;
-    for (const char *name : {"is", "cg"}) {
-        for (auto mode : {harness::BerMode::kNoCkpt,
-                          harness::BerMode::kCkpt,
-                          harness::BerMode::kReCkpt,
-                          harness::BerMode::kReCkpt}) {
-            harness::ExperimentConfig config;
-            config.mode = mode;
-            config.numCheckpoints = 10;
-            config.sliceThreshold = 0;
-            points.push_back({name, config});
-        }
+    static harness::RunnerPool pool;
+    std::vector<harness::ExperimentConfig> configs;
+    for (auto mode : {harness::BerMode::kNoCkpt, harness::BerMode::kCkpt,
+                      harness::BerMode::kReCkpt,
+                      harness::BerMode::kReCkpt}) {
+        harness::ExperimentConfig config;
+        config.mode = mode;
+        config.numCheckpoints = 10;
+        config.sliceThreshold = 0;
+        configs.push_back(config);
     }
-    harness::Sweep sweep(runner,
-                         static_cast<unsigned>(state.range(0)));
+    const auto points = bench::crossGrid({"is", "cg"}, configs, 4);
+    harness::ShardedSweep sweep(pool,
+                                static_cast<unsigned>(state.range(0)));
     sweep.run(points);  // warm every cache outside the timing loop
     for (auto _ : state)
         benchmark::DoNotOptimize(sweep.run(points));

@@ -14,7 +14,6 @@
 #include "harness/exit_code.hh"
 #include "harness/result_cache.hh"
 #include "harness/supervisor.hh"
-#include "harness/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace acr::harness
@@ -62,8 +61,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
 {
     OptionParser parser(spec.name);
     parser.addInt("jobs", 0,
-                  "sweep worker threads (0: ACR_JOBS, then hardware "
-                  "concurrency)");
+                  "sweep worker threads (0: hardware concurrency; env "
+                  "$ACR_JOBS)");
+    parser.envDefault("jobs", "ACR_JOBS");
     parser.addInt("forks", 0,
                   "local worker processes (fork/exec of this binary "
                   "with --worker; 0: in-process threads)");

@@ -5,7 +5,8 @@
  * enumerate its grid and how to render results — and main() is one
  * call to benchMain(), which owns the common command line:
  *
- *   --jobs=N        in-process sweep worker threads
+ *   --jobs=N        in-process sweep worker threads (default
+ *                   $ACR_JOBS, then hardware concurrency)
  *   --forks=N       local multi-process mode: fork/exec N `--worker`
  *                   children of this same binary
  *   --shard=i/N     static machine-level sharding: run only this
@@ -82,7 +83,7 @@ namespace acr::harness
 /** Parsed common command line of a bench binary. */
 struct BenchOptions
 {
-    unsigned jobs = 0;   ///< 0: Sweep::defaultJobs()
+    unsigned jobs = 0;   ///< 0: ShardedSweep::defaultJobs()
     unsigned forks = 0;  ///< >0: local fork/exec worker processes
     ShardedSweep::Shard shard{};
     bool shardMode = false;   ///< --shard given: emit wire records

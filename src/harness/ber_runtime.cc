@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "acr/acr_engine.hh"
-#include "ckpt/secondary.hh"
 #include "common/logging.hh"
 #include "energy/energy_model.hh"
 #include "fault/injector.hh"
@@ -73,11 +72,10 @@ BerRuntime::run(const isa::Program &program,
     // from the profile instead of re-simulating. Final-state
     // verification holds trivially — the reference image *is* this
     // execution's image. The guards keep every config that could
-    // diverge (errors, oracle, secondary tier, tracing) on the full
-    // simulation path; NoCkpt configs reject most of those anyway.
+    // diverge (errors, oracle, tracing) on the full simulation path;
+    // NoCkpt configs reject most of those anyway.
     if (config.mode == BerMode::kNoCkpt && config.numErrors == 0 &&
-        !config.oracle && config.secondaryPeriod == 0 && !config.trace)
-    {
+        !config.oracle && !config.trace) {
         result.stats = profile.stats;
         stats.set("sim.numCores", static_cast<double>(machine.numCores));
         energy::EnergyModel energy_model;
@@ -165,15 +163,6 @@ BerRuntime::run(const isa::Program &program,
         injector = std::make_unique<fault::ErrorInjector>(plan, stats);
     }
 
-    // --- Optional hierarchical second tier ---
-    std::unique_ptr<ckpt::SecondaryTier> secondary;
-    if (config.secondaryPeriod > 0) {
-        ckpt::SecondaryConfig secondary_config;
-        secondary_config.promotionPeriod = config.secondaryPeriod;
-        secondary = std::make_unique<ckpt::SecondaryTier>(
-            secondary_config, stats);
-    }
-
     DriverObserver observer(manager.get(), acr.get(), slicer.get());
 
     // Storage faults defeated every escalation rung mid-rollback: the
@@ -237,10 +226,10 @@ BerRuntime::run(const isa::Program &program,
     // Resume: overwrite the freshly built components with the donor
     // snapshot and substitute its saved step result for the first
     // iteration's stepWith(). The Runner guarantees eligibility (no
-    // oracle/trace/secondary, stateless backend, trigger >= snapshot).
+    // oracle/trace, stateless backend, trigger >= snapshot).
     bool resume_pending = false;
     if (prefix && prefix->resume) {
-        ACR_ASSERT(manager && !oracle && !secondary && !config.trace,
+        ACR_ASSERT(manager && !oracle && !config.trace,
                    "prefix resume with an ineligible configuration");
         resumePrefix(*prefix->resume, system, next_ckpt, stats,
                      slicer.get(), acr.get(), *manager);
@@ -339,13 +328,6 @@ BerRuntime::run(const isa::Program &program,
                         before, system.maxCycle());
                 }
                 next_ckpt += period;
-                if (secondary &&
-                    secondary->duePromotion(
-                        manager->checkpointsEstablished())) {
-                    secondary->promote(system,
-                                       manager->checkpointsEstablished(),
-                                       system.maxCycle());
-                }
             }
         }
 

@@ -86,12 +86,6 @@ struct ExperimentConfig
     /** Max deferral under kRecomputeAware, as a fraction of the period. */
     double placementSlack = 0.3;
 
-    /**
-     * Hierarchical checkpointing (Sec. II-A): promote every Nth
-     * in-memory checkpoint to the storage tier (0 disables).
-     */
-    unsigned secondaryPeriod = 0;
-
     /** Seed for error masks. */
     std::uint64_t seed = 0xacce55ULL;
 

@@ -132,15 +132,13 @@ Runner::run(const std::string &workload, ExperimentConfig config)
 
     // Prefix sharing is sound only when every component's pre-trigger
     // behavior is covered by the snapshot: the oracle, the event
-    // trace, the secondary tier, stateful store backends, and the
-    // storage-fault integrity layer (per-checkpoint checksums and
-    // armed corruptions accrue from establishment #1) all keep shadow
-    // state of their own, so those configurations take the full
-    // re-simulation path.
+    // trace, stateful store backends, and the storage-fault integrity
+    // layer (per-checkpoint checksums and armed corruptions accrue
+    // from establishment #1) all keep shadow state of their own, so
+    // those configurations take the full re-simulation path.
     const bool eligible = prefixShare_ &&
                           config.mode != BerMode::kNoCkpt &&
                           !config.oracle && config.trace == nullptr &&
-                          config.secondaryPeriod == 0 &&
                           config.storageErrors == 0 &&
                           config.backend == ckpt::Backend::kLog;
     PrefixHandle handle;

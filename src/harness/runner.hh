@@ -4,7 +4,7 @@
  * Caches base programs, slice-pass results (per workload × threshold ×
  * policy), and NoCkpt baselines so sweeps don't repeat work.
  *
- * Thread-safety contract (the substrate of harness::Sweep): one Runner
+ * Thread-safety contract (the substrate of ShardedSweep::run): one Runner
  * may be shared by any number of threads. The three caches are
  * OnceCaches — each entry is computed exactly once (concurrent
  * requesters for the same key block until the first finishes) and is

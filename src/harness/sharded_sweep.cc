@@ -18,7 +18,6 @@
 
 #include "common/logging.hh"
 #include "common/options.hh"
-#include "harness/sweep.hh"
 
 namespace acr::harness
 {
@@ -98,6 +97,18 @@ struct WorkerHooks
     }
 };
 
+/** The result @p controls already holds for @p grid_index (a journal
+ *  or result-cache hit), or null when the point must be simulated. */
+const ExperimentResult *
+served(const ShardedSweep::SweepControls &controls,
+       std::size_t grid_index)
+{
+    if (controls.cache == nullptr)
+        return nullptr;
+    const auto hit = controls.cache->find(grid_index);
+    return hit == controls.cache->end() ? nullptr : &hit->second;
+}
+
 /** Ascending-order result merger: slots fill in any order, the sink
  *  fires strictly in order as the completed prefix grows. */
 class OrderedMerger
@@ -152,8 +163,15 @@ RunnerPool::at(unsigned threads)
 }
 
 ShardedSweep::ShardedSweep(RunnerPool &pool, unsigned jobs)
-    : pool_(pool), jobs_(jobs > 0 ? jobs : Sweep::defaultJobs())
+    : pool_(pool), jobs_(jobs > 0 ? jobs : defaultJobs())
 {
+}
+
+unsigned
+ShardedSweep::defaultJobs()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
 }
 
 std::vector<std::size_t>
@@ -215,14 +233,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<double> point_millis(indices.size(), 0.0);
-
-    auto cached =
-        [&](std::size_t grid_index) -> const ExperimentResult * {
-        if (controls.cache == nullptr)
-            return nullptr;
-        const auto hit = controls.cache->find(grid_index);
-        return hit == controls.cache->end() ? nullptr : &hit->second;
-    };
     double journal_hits = 0.0;
 
     std::vector<ExperimentResult> results;
@@ -233,7 +243,7 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         results.resize(indices.size());
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
             const std::size_t grid_index = indices[slot];
-            if (const auto *hit = cached(grid_index)) {
+            if (const auto *hit = served(controls, grid_index)) {
                 results[slot] = *hit;
                 ++journal_hits;
             } else {
@@ -255,7 +265,7 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         // slots (from_cache is read-only once they start).
         std::vector<bool> from_cache(indices.size(), false);
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            if (const auto *hit = cached(indices[slot])) {
+            if (const auto *hit = served(controls, indices[slot])) {
                 from_cache[slot] = true;
                 ++journal_hits;
                 merger.deliver(slot, *hit);
@@ -324,6 +334,59 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
                         Shard shard, const SweepControls &controls)
 {
     ACR_ASSERT(!workerCmd.empty(), "empty worker command");
+    Supervisor::Options options = controls.supervise;
+    options.workers = workers == 0 ? 1 : workers;
+    // A fully served grid forks nothing but still reports as a forked
+    // sweep.
+    StatSet seed;
+    seed.set("sweep.forkedWorkers", 1.0);
+    return runSupervised(
+        points, shard, controls, std::move(seed),
+        [&](const std::vector<Supervisor::Task> &tasks,
+            const Supervisor::Deliver &deliver, StatSet &stats) {
+            stats.set("sweep.forkedWorkers",
+                      static_cast<double>(std::min<std::size_t>(
+                          options.workers, tasks.size())));
+            Supervisor(workerCmd, options).run(tasks, deliver, stats);
+        });
+}
+
+std::vector<ExperimentResult>
+ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
+                             const net::Endpoint &listen,
+                             unsigned heartbeatSec,
+                             const std::string &bench,
+                             const SweepControls &controls)
+{
+    // Zero-seed the counters so a fully-served grid (runListen never
+    // ran) still reports as a distributed sweep.
+    StatSet seed;
+    for (const char *name :
+         {"sweep.netJoins", "sweep.netLeaves", "sweep.retries",
+          "sweep.workerCrashes", "sweep.watchdogKills",
+          "sweep.quarantined"})
+        seed.set(name, 0.0);
+    return runSupervised(
+        points, {}, controls, std::move(seed),
+        [&](const std::vector<Supervisor::Task> &tasks,
+            const Supervisor::Deliver &deliver, StatSet &stats) {
+            Supervisor::NetOptions net_options;
+            net_options.listen = listen;
+            net_options.heartbeatSec = heartbeatSec;
+            net_options.bench = bench;
+            net_options.gridPoints = points.size();
+            net_options.gridHash = wire::gridHash(points);
+            Supervisor(controls.supervise)
+                .runListen(tasks, net_options, deliver, stats);
+        });
+}
+
+std::vector<ExperimentResult>
+ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
+                            Shard shard, const SweepControls &controls,
+                            StatSet supervision,
+                            const TaskExecutor &execute)
+{
     for (const auto &point : points)
         if (point.config.trace != nullptr)
             fatal("GridPoint trace sinks cannot cross a process "
@@ -351,13 +414,7 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
     std::vector<Supervisor::Task> tasks;
     for (std::size_t slot = 0; slot < indices.size(); ++slot) {
         const std::size_t grid_index = indices[slot];
-        const ExperimentResult *hit = nullptr;
-        if (controls.cache != nullptr) {
-            const auto found = controls.cache->find(grid_index);
-            if (found != controls.cache->end())
-                hit = &found->second;
-        }
-        if (hit != nullptr) {
+        if (const auto *hit = served(controls, grid_index)) {
             results[slot] = *hit;
             done[slot] = true;
             ++journal_hits;
@@ -367,12 +424,8 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
     }
     flushReady();
 
-    StatSet supervision;
     if (!tasks.empty()) {
-        Supervisor::Options options = controls.supervise;
-        options.workers = workers == 0 ? 1 : workers;
-        Supervisor supervisor(workerCmd, options);
-        supervisor.run(
+        execute(
             tasks,
             [&](const Supervisor::Task &task, ExperimentResult result) {
                 if (controls.completed)
@@ -388,99 +441,6 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
                next_emit, indices.size());
 
     hostStats_.clear();
-    hostStats_.set("sweep.forkedWorkers",
-                   static_cast<double>(std::min<std::size_t>(
-                       workers == 0 ? 1 : workers,
-                       tasks.empty() ? 1 : tasks.size())));
-    hostStats_.set("sweep.points", static_cast<double>(indices.size()));
-    hostStats_.set("sweep.wallMillis", millisSince(wall_start));
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
-    hostStats_.merge(supervision);
-    return results;
-}
-
-std::vector<ExperimentResult>
-ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
-                             const net::Endpoint &listen,
-                             unsigned heartbeatSec,
-                             const std::string &bench,
-                             const SweepControls &controls)
-{
-    for (const auto &point : points)
-        if (point.config.trace != nullptr)
-            fatal("GridPoint trace sinks cannot cross a process "
-                  "boundary; use the in-process executor");
-
-    const auto indices = shardIndices(points.size(), {});
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    // Identical ordered-merge scaffolding to runForked: delivery is
-    // completion-order, the sink fires as the completed prefix grows.
-    std::vector<ExperimentResult> results(indices.size());
-    std::vector<bool> done(indices.size(), false);
-    std::size_t next_emit = 0;
-    auto flushReady = [&] {
-        while (next_emit < indices.size() && done[next_emit]) {
-            if (controls.sink)
-                controls.sink(indices[next_emit], results[next_emit]);
-            ++next_emit;
-        }
-    };
-
-    double journal_hits = 0.0;
-    std::vector<Supervisor::Task> tasks;
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-        const std::size_t grid_index = indices[slot];
-        const ExperimentResult *hit = nullptr;
-        if (controls.cache != nullptr) {
-            const auto found = controls.cache->find(grid_index);
-            if (found != controls.cache->end())
-                hit = &found->second;
-        }
-        if (hit != nullptr) {
-            results[slot] = *hit;
-            done[slot] = true;
-            ++journal_hits;
-        } else {
-            tasks.push_back({slot, grid_index, &points[grid_index]});
-        }
-    }
-    flushReady();
-
-    StatSet supervision;
-    if (!tasks.empty()) {
-        Supervisor supervisor(controls.supervise);
-        Supervisor::NetOptions net_options;
-        net_options.listen = listen;
-        net_options.heartbeatSec = heartbeatSec;
-        net_options.bench = bench;
-        net_options.gridPoints = points.size();
-        net_options.gridHash = wire::gridHash(points);
-        supervisor.runListen(
-            tasks, net_options,
-            [&](const Supervisor::Task &task, ExperimentResult result) {
-                if (controls.completed)
-                    controls.completed(task.gridIndex, result);
-                results[task.slot] = std::move(result);
-                done[task.slot] = true;
-                flushReady();
-            },
-            supervision);
-    }
-    ACR_ASSERT(next_emit == indices.size(),
-               "distributed sweep finished with %zu of %zu slots",
-               next_emit, indices.size());
-
-    hostStats_.clear();
-    // Zero-seed the counters so a fully-served grid (runListen never
-    // ran) still reports as a distributed sweep; merge accumulates.
-    hostStats_.set("sweep.netJoins", 0.0);
-    hostStats_.set("sweep.netLeaves", 0.0);
-    hostStats_.set("sweep.retries", 0.0);
-    hostStats_.set("sweep.workerCrashes", 0.0);
-    hostStats_.set("sweep.watchdogKills", 0.0);
-    hostStats_.set("sweep.quarantined", 0.0);
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));
     hostStats_.set("sweep.wallMillis", millisSince(wall_start));
     if (controls.cache != nullptr)

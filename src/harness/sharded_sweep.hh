@@ -1,13 +1,13 @@
 /**
  * @file
- * ShardedSweep: the multi-process successor of harness::Sweep. A
- * coordinator enumerates an experiment grid (std::vector<GridPoint>),
- * partitions it deterministically — `--shard=i/N` carves out every
- * N-th point for static machine-level sharding, and a local mode
- * fork/execs `--worker` child processes of the same bench binary —
- * and merges results back **in submission order**, so the rendered
- * output is bit-identical to a `--jobs=1` single-process run no
- * matter how the work was spread.
+ * ShardedSweep: the one sweep executor. A coordinator enumerates an
+ * experiment grid (std::vector<GridPoint>), partitions it
+ * deterministically — `--shard=i/N` carves out every N-th point for
+ * static machine-level sharding — runs its slice on host threads,
+ * forked `--worker` child processes of the same bench binary, or a
+ * TCP fleet, and merges results back **in submission order**, so the
+ * rendered output is bit-identical to a `--jobs=1` single-process run
+ * no matter how the work was spread.
  *
  * Workers speak the wire format (harness/wire.hh): the coordinator
  * streams PointRecords to a worker's stdin and reads ResultRecords
@@ -15,8 +15,9 @@
  * finished experiment, so results arrive (and the ordered sink fires)
  * as they land rather than at an end-of-sweep barrier.
  *
- * Simulated results never contain host timing (see Sweep); wall-clock
- * observations live in hostStats().
+ * Simulated results never contain host timing — wall clock depends on
+ * scheduling, and results must not — so wall-clock observations live
+ * in hostStats() only.
  */
 
 #ifndef ACR_HARNESS_SHARDED_SWEEP_HH
@@ -124,9 +125,13 @@ class ShardedSweep
 
     /**
      * @param pool shared Runner cache; not owned
-     * @param jobs in-process worker threads (0: Sweep::defaultJobs())
+     * @param jobs in-process worker threads (0: defaultJobs())
      */
     explicit ShardedSweep(RunnerPool &pool, unsigned jobs = 0);
+
+    /** The --jobs default: std::thread::hardware_concurrency(), at
+     *  least 1. */
+    static unsigned defaultJobs();
 
     unsigned jobs() const { return jobs_; }
 
@@ -140,7 +145,10 @@ class ShardedSweep
     /**
      * Execute this shard's slice of @p points on the in-process thread
      * pool. Returns the owned results in ascending grid-index order
-     * (all of them when shard is the default whole-grid 0/1).
+     * (all of them when shard is the default whole-grid 0/1). Points
+     * must be independent: a non-null config.trace sink must not be
+     * shared between points (trace sinks are not synchronized — give
+     * each point its own, or use jobs=1).
      */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard = {},
@@ -249,6 +257,25 @@ class ShardedSweep
     void reportTiming(std::ostream &os) const;
 
   private:
+    /** Runs the not-yet-served tasks on a Supervisor and fills in the
+     *  Supervisor counters. */
+    using TaskExecutor = std::function<void(
+        const std::vector<Supervisor::Task> &,
+        const Supervisor::Deliver &, StatSet &)>;
+
+    /**
+     * The process-boundary executors' shared scaffolding: serve cached
+     * slots, hand the rest to @p execute (never called when every slot
+     * was served), and fire the ordered sink as the completed prefix
+     * grows. hostStats() ends up with @p supervision as @p execute
+     * left it, plus sweep.points, sweep.wallMillis and, with a cache,
+     * sweep.journalHits.
+     */
+    std::vector<ExperimentResult>
+    runSupervised(const std::vector<GridPoint> &points, Shard shard,
+                  const SweepControls &controls, StatSet supervision,
+                  const TaskExecutor &execute);
+
     RunnerPool &pool_;
     unsigned jobs_;
     StatSet hostStats_;

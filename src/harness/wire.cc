@@ -170,7 +170,6 @@ encodeConfig(const ExperimentConfig &config)
              config.detectionLatencyFraction)
         .set("placement", placementName(config.placement))
         .set("placementSlack", config.placementSlack)
-        .set("secondaryPeriod", config.secondaryPeriod)
         .set("seed", config.seed)
         .set("verifyFinalState", config.verifyFinalState)
         .set("oracle", config.oracle)
@@ -203,8 +202,6 @@ decodeConfig(const Json &json)
     config.placement =
         placementFromName(reader.requireString("placement"));
     config.placementSlack = reader.requireDouble("placementSlack");
-    config.secondaryPeriod = asUnsigned(
-        reader.require("secondaryPeriod"), "secondaryPeriod");
     config.seed = reader.requireUint("seed");
     config.verifyFinalState = reader.requireBool("verifyFinalState");
     config.oracle = reader.requireBool("oracle");

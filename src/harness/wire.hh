@@ -50,8 +50,10 @@ namespace wire
  *      medium fault injection), result gained `unrecoverable` +
  *      `unrecoverableDetail` (escalation-ladder exhaustion), so
  *      ResultCache keys and shard grids distinguish storage-fault
- *      campaigns. */
-inline constexpr std::uint64_t kVersion = 6;
+ *      campaigns.
+ *  v7: config lost its hierarchical second-tier promotion period (the
+ *      tier was removed). */
+inline constexpr std::uint64_t kVersion = 7;
 
 // --- Value encodings (no version envelope; record lines add it) ---
 

@@ -26,6 +26,15 @@ using harness::BerMode;
 
 constexpr double kTolerance = 0.01;
 
+/** Run (every workload × @p configs) on the default machine. */
+std::vector<harness::ExperimentResult>
+runGrid(const std::vector<harness::ExperimentConfig> &configs)
+{
+    harness::RunnerPool pool;
+    return harness::ShardedSweep(pool).run(
+        crossGrid(workloads::allWorkloadNames(), configs));
+}
+
 struct GoldenRow
 {
     const char *workload;
@@ -65,14 +74,12 @@ constexpr GoldenRow kGoldenLocal[] = {
 
 TEST(Golden, HeadlineReductionsAtDefaultPoint)
 {
-    harness::Runner runner(kDefaultThreads);
     const std::vector<harness::ExperimentConfig> configs = {
         makeConfig(BerMode::kNoCkpt),
         makeConfig(BerMode::kCkpt),
         makeConfig(BerMode::kReCkpt),
     };
-    harness::Sweep sweep(runner);
-    const auto results = sweep.run(crossWorkloads(configs));
+    const auto results = runGrid(configs);
 
     const auto &names = workloads::allWorkloadNames();
     ASSERT_EQ(names.size(), std::size(kGolden));
@@ -100,14 +107,12 @@ TEST(Golden, HeadlineReductionsAtDefaultPoint)
 
 TEST(Golden, HeadlineReductionsUnderLocalCoordination)
 {
-    harness::Runner runner(kDefaultThreads);
     const std::vector<harness::ExperimentConfig> configs = {
         makeConfig(BerMode::kNoCkpt),
         makeConfig(BerMode::kCkpt, 0, ckpt::Coordination::kLocal),
         makeConfig(BerMode::kReCkpt, 0, ckpt::Coordination::kLocal),
     };
-    harness::Sweep sweep(runner);
-    const auto results = sweep.run(crossWorkloads(configs));
+    const auto results = runGrid(configs);
 
     const auto &names = workloads::allWorkloadNames();
     ASSERT_EQ(names.size(), std::size(kGoldenLocal));

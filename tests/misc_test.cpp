@@ -1,8 +1,9 @@
 /**
  * @file
  * Additional coverage: full-pipeline arithmetic corner cases, cache
- * inclusion on L2 eviction, zero-input slices, large-machine stress,
- * and secondary-tier + trace interplay with scaled problems.
+ * inclusion on L2 eviction, zero-input slices, 32-core and
+ * scaled-problem stress, and Runner corner cases (NoCkpt baselines,
+ * per-workload threshold defaults, strict AddrMap retention).
  */
 
 #include <gtest/gtest.h>

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness/sweep.hh"
+#include "harness/runner.hh"
 
 namespace acr::harness
 {

@@ -7,7 +7,8 @@
 #   --shard=0/2 + --shard=1/2 --> --merge   (static sharding)
 #   --forks=2                               (forked local workers)
 #
-# is byte-identical. Invoke with
+# is byte-identical, and that ACR_JOBS goes through the same strict
+# parser as --jobs (garbage exits 1 naming the variable). Invoke with
 #   cmake -DBENCH=<path> -DWORKLOADS=<a,b> -DOUT=<scratch dir>
 #         -P shard_smoke.cmake
 
@@ -56,4 +57,21 @@ run_bench("${OUT}/forked.txt" --forks=2)
 expect_identical("${OUT}/reference.txt" "${OUT}/forked.txt"
                  "forked (--forks=2)")
 
-message(STATUS "shard smoke: sharded and forked output byte-identical")
+# ACR_JOBS is read like every other environment knob: a garbage value
+# must fail loudly, naming the variable, instead of falling back.
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E env ACR_JOBS=4x
+            "${BENCH}" "--workloads=${WORKLOADS}"
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr
+    RESULT_VARIABLE status)
+if(NOT status EQUAL 1)
+    message(FATAL_ERROR "ACR_JOBS=4x exited ${status}, want 1:\n${stderr}")
+endif()
+if(NOT stderr MATCHES "ACR_JOBS")
+    message(FATAL_ERROR
+            "parse error does not name the variable:\n${stderr}")
+endif()
+
+message(STATUS "shard smoke: sharded and forked output byte-identical, "
+               "ACR_JOBS parsed strictly")

@@ -41,7 +41,6 @@ randomConfig(std::mt19937_64 &rng)
     config.detectionLatencyFraction = pick(101) / 100.0;
     config.placement = static_cast<PlacementPolicy>(pick(2));
     config.placementSlack = pick(101) / 100.0;
-    config.secondaryPeriod = static_cast<unsigned>(pick(5));
     config.seed = rng();
     config.verifyFinalState = pick(2) == 0;
     config.oracle = config.mode != BerMode::kNoCkpt && pick(2) == 0;
@@ -112,7 +111,6 @@ expectConfigEqual(const ExperimentConfig &a, const ExperimentConfig &b)
     EXPECT_EQ(a.detectionLatencyFraction, b.detectionLatencyFraction);
     EXPECT_EQ(a.placement, b.placement);
     EXPECT_EQ(a.placementSlack, b.placementSlack);
-    EXPECT_EQ(a.secondaryPeriod, b.secondaryPeriod);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.verifyFinalState, b.verifyFinalState);
     EXPECT_EQ(a.oracle, b.oracle);
