@@ -74,8 +74,8 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                      "comma-separated shard record files to merge and "
                      "render");
     parser.addFlag("worker",
-                   "wire-protocol worker: read point records on stdin, "
-                   "write result records to stdout");
+                   "wire-protocol worker: read point frames on stdin, "
+                   "write result frames to stdout (used by --forks)");
     parser.addString("listen", "",
                      "distributed coordinator: accept TCP --connect "
                      "workers on HOST:PORT (port 0: kernel-picked, "
@@ -87,8 +87,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                      "$ACR_CONNECT)");
     parser.envDefault("connect", "ACR_CONNECT");
     parser.addUint("heartbeat", 5,
-                   "distributed keepalive cadence in seconds (idle "
-                   "timeout 4x, join grace 8x, reconnect window 10x)");
+                   "keepalive cadence in seconds for --forks and "
+                   "--listen workers (idle timeout 4x; --listen join "
+                   "grace 8x, --connect reconnect window 10x)");
     parser.addString("format", "table",
                      "output format: table, csv, or json");
     parser.addString("workloads", "",
@@ -101,7 +102,8 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     parser.envDefault("backend", "ACR_BACKEND");
     parser.addInt("retries", 2,
                   "retry a failed point this many times on fresh "
-                  "workers before quarantining it (forked mode)");
+                  "workers before quarantining it (--forks and "
+                  "--listen)");
     parser.addDouble("point-timeout", 0.0,
                      "per-point watchdog in seconds: SIGKILL and retry "
                      "a worker wedged longer than this (0: off)");
@@ -485,6 +487,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     ShardedSweep::SweepControls controls;
     controls.supervise.retries = options.retries;
     controls.supervise.pointTimeoutSec = options.pointTimeout;
+    controls.supervise.heartbeatSec = options.heartbeatSec;
 
     // Coordinator-side serving map, by grid index: the journal's
     // grid-keyed completions plus content-addressed cache hits. Both
@@ -549,7 +552,6 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     std::vector<ExperimentResult> results;
     if (options.listenMode)
         results = sweep.runDistributed(grid, options.listen,
-                                       options.heartbeatSec,
                                        spec.name, controls);
     else if (options.forks > 0)
         results = sweep.runForked(grid, options.forks, worker_cmd,

@@ -14,8 +14,9 @@
  *                   (manifest + results) instead of rendering
  *   --merge=a,b,... read shard record files, verify they cover this
  *                   exact grid, and render the normal output
- *   --worker        wire-protocol worker (stdin points, stdout
- *                   results); used by --forks
+ *   --worker        wire-protocol worker (point frames on stdin,
+ *                   result frames on stdout — one socketpair end);
+ *                   used by --forks
  *   --listen=H:P    distributed coordinator: accept TCP `--connect`
  *                   workers on HOST:PORT (port 0: kernel-picked,
  *                   announced on stderr) and deal grid points to the
@@ -24,9 +25,10 @@
  *                   handshake (bench + grid + protocol version), run
  *                   dealt points, reconnect on connection loss
  *                   (default $ACR_CONNECT)
- *   --heartbeat=S   distributed keepalive cadence in seconds (idle
- *                   peers time out at 4x, the empty-fleet join grace
- *                   is 8x, the worker reconnect window 10x)
+ *   --heartbeat=S   keepalive cadence in seconds for --forks and
+ *                   --listen workers (idle peers time out at 4x; the
+ *                   empty --listen fleet's join grace is 8x, the
+ *                   --connect reconnect window 10x)
  *   --format=F      table | csv | json rendering
  *   --workloads=a,b restrict the workload axis
  *   --backend=B     override the checkpoint store backend (log |
@@ -37,7 +39,8 @@
  * Fault tolerance (DESIGN.md §10):
  *
  *   --retries=N       retry a failed point N times on fresh workers
- *                     before quarantining it (forked mode; default 2)
+ *                     before quarantining it (--forks and --listen;
+ *                     default 2)
  *   --point-timeout=S per-point wall-clock watchdog: SIGKILL + retry
  *                     a worker wedged longer than S seconds (0: off)
  *   --journal=FILE    append every completed point to FILE as fsync'd
@@ -92,7 +95,7 @@ struct BenchOptions
     net::Endpoint listen;     ///< parsed --listen endpoint
     bool connectMode = false;  ///< --connect given: TCP worker
     net::Endpoint connect;     ///< parsed --connect endpoint
-    unsigned heartbeatSec = 5;  ///< --heartbeat (distributed mode)
+    unsigned heartbeatSec = 5;  ///< --heartbeat (forked and TCP)
     TableFormat format = TableFormat::kTable;
     std::vector<std::string> workloads;   ///< resolved selection
     std::vector<std::string> mergeFiles;  ///< --merge given: render
@@ -102,7 +105,7 @@ struct BenchOptions
     bool backendOverride = false;
     ckpt::Backend backend = ckpt::Backend::kLog;
 
-    unsigned retries = 2;       ///< --retries (forked mode)
+    unsigned retries = 2;       ///< --retries (forked and TCP)
     double pointTimeout = 0.0;  ///< --point-timeout seconds (0: off)
     std::string journal;        ///< --journal path ("" : none)
     bool resume = false;        ///< --resume (needs --journal)

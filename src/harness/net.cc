@@ -23,14 +23,6 @@ namespace
 {
 
 void
-setNonblocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-        fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
-}
-
-void
 setNodelay(int fd)
 {
     // Point/result lines are single small frames on a lockstep
@@ -86,6 +78,37 @@ encodeFrame(FrameType type, const std::string &payload)
     return frame;
 }
 
+bool
+decodeFrameHeader(const char *header, std::uint32_t &length,
+                  FrameType &type, std::string &error)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(header);
+    length = static_cast<std::uint32_t>(bytes[0]) |
+             (static_cast<std::uint32_t>(bytes[1]) << 8) |
+             (static_cast<std::uint32_t>(bytes[2]) << 16) |
+             (static_cast<std::uint32_t>(bytes[3]) << 24);
+    if (length > kMaxFramePayload) {
+        error = csprintf("frame header claims %u bytes (garbled stream?)",
+                         length);
+        return false;
+    }
+    if (bytes[4] < static_cast<std::uint8_t>(FrameType::kWire) ||
+        bytes[4] > static_cast<std::uint8_t>(FrameType::kShutdown)) {
+        error = csprintf("unknown frame type %u", bytes[4]);
+        return false;
+    }
+    type = static_cast<FrameType>(bytes[4]);
+    return true;
+}
+
+void
+setNonblocking(int fd)
+{
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
+        fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
+}
+
 Endpoint
 parseEndpoint(const std::string &spec, const char *flag,
               bool allow_port_zero)
@@ -127,6 +150,23 @@ listenOn(const Endpoint &endpoint, Endpoint &bound)
 
     setNonblocking(fd);
     return fd;
+}
+
+int
+acceptOnce(int listen_fd)
+{
+    while (true) {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd >= 0) {
+            setNonblocking(fd);
+            setNodelay(fd);
+            return fd;
+        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return -1;
+        if (errno != EINTR)
+            fatal("accept: %s", std::strerror(errno));
+    }
 }
 
 int
@@ -223,52 +263,32 @@ FrameChannel::send(FrameType type, const std::string &payload)
     if (fd_ < 0 || closeAfterFlush_)
         return;  // the injected close already won
 
-    std::string bytes;
-    if (fault_ != nullptr && fault_->active()) {
-        const std::uint64_t ordinal = ++fault_->sent;
+    std::string bytes = encodeFrame(type, payload);
+    if (fault_ != nullptr && fault_->active() &&
+        ++fault_->sent == fault_->frame) {
+        fault_->fired = true;
         switch (fault_->kind) {
         case FaultPlan::Kind::kDropAfter:
-            bytes = encodeFrame(type, payload);
-            if (ordinal == fault_->frame) {
-                fault_->fired = true;
-                closeAfterFlush_ = true;
-            }
+            closeAfterFlush_ = true;
             break;
         case FaultPlan::Kind::kTorn:
-            bytes = encodeFrame(type, payload);
-            if (ordinal == fault_->frame) {
-                fault_->fired = true;
-                bytes.resize(bytes.size() / 2);
-                closeAfterFlush_ = true;
-            }
+            bytes.resize(bytes.size() / 2);
+            closeAfterFlush_ = true;
             break;
         case FaultPlan::Kind::kStall:
-            if (ordinal == fault_->frame) {
-                fault_->fired = true;
-                // A genuine stall: the whole process sleeps, reads
-                // included, exactly like a wedged remote host.
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(fault_->stallSec));
-            }
-            bytes = encodeFrame(type, payload);
+            // A genuine stall: the whole process sleeps, reads
+            // included, exactly like a wedged remote host.
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(fault_->stallSec));
             break;
         case FaultPlan::Kind::kGarble:
-            if (ordinal == fault_->frame) {
-                fault_->fired = true;
-                std::string garbled = payload;
-                for (char &c : garbled)
-                    c = static_cast<char>(c ^ 0x5a);
-                bytes = encodeFrame(type, garbled);
-            } else {
-                bytes = encodeFrame(type, payload);
-            }
+            // The payload only: the length header stays consistent.
+            for (std::size_t i = kFrameHeaderBytes; i < bytes.size(); ++i)
+                bytes[i] = static_cast<char>(bytes[i] ^ 0x5a);
             break;
         case FaultPlan::Kind::kNone:
-            bytes = encodeFrame(type, payload);
             break;
         }
-    } else {
-        bytes = encodeFrame(type, payload);
     }
     wbuf_ += bytes;
 }
@@ -328,31 +348,14 @@ FrameChannel::readFrames(std::vector<Frame> &frames, std::string &error)
     }
 
     while (rbuf_.size() >= kFrameHeaderBytes) {
-        const auto *bytes =
-            reinterpret_cast<const unsigned char *>(rbuf_.data());
-        const std::uint32_t length =
-            static_cast<std::uint32_t>(bytes[0]) |
-            (static_cast<std::uint32_t>(bytes[1]) << 8) |
-            (static_cast<std::uint32_t>(bytes[2]) << 16) |
-            (static_cast<std::uint32_t>(bytes[3]) << 24);
-        const std::uint8_t type = bytes[4];
-        if (length > kMaxFramePayload) {
-            error = csprintf("frame header claims %u bytes (garbled "
-                             "stream?)",
-                             length);
-            close();
-            return Io::kClosed;
-        }
-        if (type < static_cast<std::uint8_t>(FrameType::kWire) ||
-            type > static_cast<std::uint8_t>(FrameType::kShutdown)) {
-            error = csprintf("unknown frame type %u", type);
+        Frame frame;
+        std::uint32_t length = 0;
+        if (!decodeFrameHeader(rbuf_.data(), length, frame.type, error)) {
             close();
             return Io::kClosed;
         }
         if (rbuf_.size() < kFrameHeaderBytes + length)
             break;  // partial frame: wait for more bytes
-        Frame frame;
-        frame.type = static_cast<FrameType>(type);
         frame.payload = rbuf_.substr(kFrameHeaderBytes, length);
         rbuf_.erase(0, kFrameHeaderBytes + length);
         frames.push_back(std::move(frame));

@@ -1,9 +1,10 @@
 /**
  * @file
- * The distributed sweep's transport layer (DESIGN.md §15): nonblocking
- * length-framed TCP carrying the harness::wire ndjson records between
- * one `--listen` coordinator and its elastic fleet of `--connect`
- * workers.
+ * The sweep's transport layer (DESIGN.md §15): nonblocking
+ * length-framed streams carrying the harness::wire ndjson records
+ * between one coordinator and its fleet — `--connect` workers over
+ * TCP, and forked `--worker` children over a socketpair that is their
+ * stdin and stdout (DESIGN.md §8.3).
  *
  * A frame is a 4-byte little-endian payload length, a 1-byte type, and
  * the payload bytes. `kWire` frames carry exactly one wire record line
@@ -20,10 +21,10 @@
  * corrupt workers mid-sweep and still require byte-identical rendered
  * output.
  *
- * I/O conventions match the Supervisor's pipes: every read/write
- * retries EINTR, EAGAIN yields back to poll(), writes pass MSG_NOSIGNAL
- * (and callers ignore SIGPIPE) so a peer dying between frames surfaces
- * as a closed channel, never a killed process.
+ * I/O conventions: every read/write retries EINTR, EAGAIN yields back
+ * to poll(), writes pass MSG_NOSIGNAL (and callers ignore SIGPIPE) so
+ * a peer dying between frames surfaces as a closed channel, never a
+ * killed process.
  */
 
 #ifndef ACR_HARNESS_NET_HH
@@ -66,6 +67,17 @@ struct Frame
 /** Header + payload bytes of one frame, ready to write. */
 std::string encodeFrame(FrameType type, const std::string &payload);
 
+/**
+ * Parse one kFrameHeaderBytes header. False, with the reason in
+ * @p error, when the stream is unparseable: a length beyond
+ * kMaxFramePayload or an unknown type.
+ */
+bool decodeFrameHeader(const char *header, std::uint32_t &length,
+                       FrameType &type, std::string &error);
+
+/** Set O_NONBLOCK on @p fd; fatal() on failure. */
+void setNonblocking(int fd);
+
 /** A parsed HOST:PORT pair. */
 struct Endpoint
 {
@@ -90,6 +102,12 @@ Endpoint parseEndpoint(const std::string &spec, const char *flag,
  * port-0 request to the kernel-picked port.
  */
 int listenOn(const Endpoint &endpoint, Endpoint &bound);
+
+/**
+ * Accept one pending connection on @p listen_fd as a nonblocking,
+ * TCP_NODELAY fd; -1 when none is pending. fatal() on socket errors.
+ */
+int acceptOnce(int listen_fd);
 
 /**
  * One connect attempt to @p endpoint. On success returns a connected,
@@ -146,8 +164,9 @@ struct FaultPlan
 };
 
 /**
- * Nonblocking framed I/O over one connected socket. The owner polls
- * fd() for POLLIN (always) and POLLOUT (when wantsWrite()), then calls
+ * Nonblocking framed I/O over one connected socket (TCP or a
+ * socketpair end). The owner polls fd() for POLLIN (always) and
+ * POLLOUT (when wantsWrite()), then calls
  * readFrames()/flushWrites(); either returns kClosed once the peer is
  * gone (EOF, ECONNRESET, EPIPE) or the stream is unparseable (garbled
  * length header), with the reason in the caller's error string.

@@ -1,12 +1,5 @@
 #include "harness/result_cache.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <vector>
 
 #include "common/logging.hh"
@@ -16,52 +9,6 @@ namespace acr::harness
 
 namespace
 {
-
-/** write(2) the whole buffer, retrying on EINTR; fatal() on error. */
-void
-writeAllFd(int fd, const std::string &bytes, const char *what)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("writing %s: %s", what, std::strerror(errno));
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
-/** write(2) the whole buffer, retrying on EINTR; false on error with
- *  errno left describing it (the ENOSPC/EIO degrade path). */
-bool
-tryWriteAllFd(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-void
-fsyncOrDie(int fd, const std::string &path)
-{
-    while (::fsync(fd) < 0) {
-        if (errno != EINTR)
-            fatal("fsync cache '%s': %s", path.c_str(),
-                  std::strerror(errno));
-    }
-}
 
 std::string
 headerLine()
@@ -87,41 +34,11 @@ entryLine(const std::string &point_dump, std::uint64_t key,
 
 } // namespace
 
-ResultCache::~ResultCache()
-{
-    close();
-}
-
 void
 ResultCache::open(const std::string &path)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ACR_ASSERT(fd_ < 0, "cache already open");
-    path_ = path;
-
-    std::vector<std::string> lines;
-    std::size_t durable_bytes = 0;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::string content((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-            std::size_t start = 0;
-            while (start < content.size()) {
-                const std::size_t newline = content.find('\n', start);
-                if (newline == std::string::npos) {
-                    // Torn tail: a writer died mid-append. The entry
-                    // is simply recomputed next time it is needed.
-                    warn("cache '%s': dropping torn final line",
-                         path.c_str());
-                    break;
-                }
-                lines.push_back(content.substr(start, newline - start));
-                start = newline + 1;
-                durable_bytes = start;
-            }
-        }
-    }
+    const std::vector<std::string> lines = log_.load(path);
 
     // Validate the header. Anything unrecognized — garbage, a future
     // cache schema, records encoded under a different wire version —
@@ -156,12 +73,7 @@ ResultCache::open(const std::string &path)
     }
 
     if (cold) {
-        fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd_ < 0)
-            fatal("cannot create cache '%s': %s", path.c_str(),
-                  std::strerror(errno));
-        writeAllFd(fd_, headerLine() + "\n", "cache");
-        fsyncOrDie(fd_, path_);
+        log_.create(path, headerLine());
         return;
     }
 
@@ -189,55 +101,14 @@ ResultCache::open(const std::string &path)
                  path.c_str(), i, error.what());
         }
     }
-
-    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd_ < 0)
-        fatal("cannot reopen cache '%s': %s", path.c_str(),
-              std::strerror(errno));
-    // Chop dropped tail bytes so the next append starts on a clean
-    // line boundary instead of extending the torn remnant.
-    while (::ftruncate(fd_, static_cast<off_t>(durable_bytes)) < 0) {
-        if (errno != EINTR)
-            fatal("truncate cache '%s': %s", path.c_str(),
-                  std::strerror(errno));
-    }
+    log_.resume(lines.size());
 }
 
 void
 ResultCache::failNextWriteForTest()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    failNextWrite_ = true;
-}
-
-bool
-ResultCache::tryAppend(const std::string &bytes)
-{
-    int error = 0;
-    if (failNextWrite_) {
-        // Injected failure: behave exactly as if write(2) returned
-        // ENOSPC, so tests drive the same degrade the real disk would.
-        failNextWrite_ = false;
-        error = ENOSPC;
-    } else if (!tryWriteAllFd(fd_, bytes)) {
-        error = errno;
-    } else {
-        while (::fsync(fd_) < 0) {
-            if (errno != EINTR) {
-                error = errno;
-                break;
-            }
-        }
-    }
-    if (error == 0)
-        return true;
-    warn("cache '%s': append failed (%s); disabling the cache file — "
-         "loaded entries still serve, new results are not persisted",
-         path_.c_str(), std::strerror(error));
-    ::close(fd_);
-    fd_ = -1;
-    degraded_ = true;
-    return false;
+    log_.failNextWriteForTest();
 }
 
 const ExperimentResult *
@@ -276,9 +147,7 @@ ResultCache::insert(const GridPoint &point,
     // Degraded (ENOSPC/EIO on an earlier append): keep deduplicating
     // in memory so this process still gets hits; nothing persists.
     const bool durable =
-        fd_ >= 0 &&
-        tryAppend(entryLine(dump, wire::pointHash(point), result) +
-                  "\n");
+        log_.append(entryLine(dump, wire::pointHash(point), result));
     entries_[dump] = result;
     if (durable)
         ++inserts_;
@@ -295,11 +164,7 @@ void
 ResultCache::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    degraded_ = false;
+    log_.close();
 }
 
 } // namespace acr::harness

@@ -13,10 +13,11 @@
  * enumerates the same experiment — at any grid position, under any
  * sharding — is served the stored result instead of re-simulating.
  *
- * On disk the cache is one ndjson file with the Journal's durability
- * discipline: a versioned header line (cache schema version plus the
- * wire::kVersion its records were encoded under), then one fsync'd
- * entry per result, appended as they complete. Every corruption mode
+ * On disk the cache is one ndjson file kept by the AppendLog the
+ * Journal also uses (append_log.hh): a versioned header line (cache
+ * schema version plus the wire::kVersion its records were encoded
+ * under), then one fsync'd entry per result, appended as they
+ * complete. Every corruption mode
  * degrades to recompute, never to a crash or a wrong table:
  *
  *   - unknown/garbled header, stale cache version, or a wirev that
@@ -48,6 +49,7 @@
 #include <mutex>
 #include <string>
 
+#include "harness/append_log.hh"
 #include "harness/wire.hh"
 
 namespace acr::harness
@@ -63,12 +65,6 @@ class ResultCache
      *  `wirev` field. */
     static constexpr std::uint64_t kCacheVersion = 1;
 
-    ResultCache() = default;
-    ~ResultCache();
-
-    ResultCache(const ResultCache &) = delete;
-    ResultCache &operator=(const ResultCache &) = delete;
-
     /**
      * Open (creating if absent) the cache file at @p path and load
      * every readable entry. Corrupt content is never fatal — see the
@@ -79,10 +75,10 @@ class ResultCache
 
     /** True after open() — including after a write-failure degrade
      *  (loaded entries are still served; only persistence stopped). */
-    bool isOpen() const { return fd_ >= 0 || degraded_; }
+    bool isOpen() const { return log_.isOpen(); }
 
     /** The backing file was disabled by a failed append/fsync. */
-    bool degraded() const { return degraded_; }
+    bool degraded() const { return log_.degraded(); }
 
     /** Test hook: make the next append fail as if the disk were full
      *  (exercises the ENOSPC degrade path without a full disk). */
@@ -112,20 +108,13 @@ class ResultCache
     /** Entries appended by this process (excludes loaded ones). */
     std::uint64_t inserts() const { return inserts_; }
 
-    const std::string &path() const { return path_; }
-
     void close();
 
   private:
-    /** Append @p bytes + fsync; on failure warn once, close the file
-     *  and enter the degraded state. Caller holds mutex_. */
-    bool tryAppend(const std::string &bytes);
-
     mutable std::mutex mutex_;
-    std::string path_;
-    int fd_ = -1;
-    bool degraded_ = false;
-    bool failNextWrite_ = false;
+    AppendLog log_{"cache", "disabling the cache file — loaded entries "
+                            "still serve, new results are not "
+                            "persisted"};
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t inserts_ = 0;

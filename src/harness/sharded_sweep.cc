@@ -49,8 +49,8 @@ envCount(const char *name)
 
 /**
  * The worker-side fault-injection hooks (doc on the workerLoop
- * declaration), shared by the pipe (`--worker`) and TCP (`--connect`)
- * loops; all inert unless the environment arms them.
+ * declaration), shared by the `--worker` and `--connect` loops; all
+ * inert unless the environment arms them.
  */
 struct WorkerHooks
 {
@@ -96,6 +96,58 @@ struct WorkerHooks
             ::_exit(43);
     }
 };
+
+/** What a worker loop does after one dealt frame. */
+enum class Dealt
+{
+    kContinue,
+    kShutdown,  ///< the coordinator ended the sweep: exit 0
+    kError,     ///< protocol violation, reason in the error string
+};
+
+/**
+ * The worker side of one frame from the coordinator, shared by the
+ * `--worker` (socketpair) and `--connect` (TCP) loops: a point runs
+ * the fault hooks and the simulation and is answered with its result
+ * record, a ping with a pong; a stray pong is harmless.
+ */
+Dealt
+answerDealt(RunnerPool &pool, WorkerHooks &hooks,
+            const net::Frame &frame,
+            const std::function<void(net::FrameType,
+                                     const std::string &)> &reply,
+            std::string &error)
+{
+    switch (frame.type) {
+    case net::FrameType::kPing:
+        reply(net::FrameType::kPong, "");
+        return Dealt::kContinue;
+    case net::FrameType::kPong:
+        return Dealt::kContinue;
+    case net::FrameType::kShutdown:
+        return Dealt::kShutdown;
+    case net::FrameType::kWire:
+        break;
+    }
+    wire::Record record;
+    try {
+        record = wire::decodeLine(frame.payload);
+    } catch (const serde::SerdeError &decode_error) {
+        error = decode_error.what();
+        return Dealt::kError;
+    }
+    if (record.type != wire::Record::Type::kPoint) {
+        error = "expected a point record";
+        return Dealt::kError;
+    }
+    hooks.onPoint(record.point.index);
+    const GridPoint &point = record.point.point;
+    reply(net::FrameType::kWire,
+          wire::encodeResultLine(
+              {record.point.index,
+               pool.at(point.threads).run(point.workload, point.config)}));
+    return Dealt::kContinue;
+}
 
 /** The result @p controls already holds for @p grid_index (a journal
  *  or result-cache hit), or null when the point must be simulated. */
@@ -333,7 +385,6 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
                         const std::vector<std::string> &workerCmd,
                         Shard shard, const SweepControls &controls)
 {
-    ACR_ASSERT(!workerCmd.empty(), "empty worker command");
     Supervisor::Options options = controls.supervise;
     options.workers = workers == 0 ? 1 : workers;
     // A fully served grid forks nothing but still reports as a forked
@@ -347,19 +398,18 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
             stats.set("sweep.forkedWorkers",
                       static_cast<double>(std::min<std::size_t>(
                           options.workers, tasks.size())));
-            Supervisor(workerCmd, options).run(tasks, deliver, stats);
+            Supervisor(options).run(tasks, workerCmd, deliver, stats);
         });
 }
 
 std::vector<ExperimentResult>
 ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
                              const net::Endpoint &listen,
-                             unsigned heartbeatSec,
                              const std::string &bench,
                              const SweepControls &controls)
 {
-    // Zero-seed the counters so a fully-served grid (runListen never
-    // ran) still reports as a distributed sweep.
+    // Zero-seed the counters so a fully-served grid (the Supervisor
+    // never ran) still reports as a distributed sweep.
     StatSet seed;
     for (const char *name :
          {"sweep.netJoins", "sweep.netLeaves", "sweep.retries",
@@ -372,12 +422,11 @@ ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
             const Supervisor::Deliver &deliver, StatSet &stats) {
             Supervisor::NetOptions net_options;
             net_options.listen = listen;
-            net_options.heartbeatSec = heartbeatSec;
             net_options.bench = bench;
             net_options.gridPoints = points.size();
             net_options.gridHash = wire::gridHash(points);
             Supervisor(controls.supervise)
-                .runListen(tasks, net_options, deliver, stats);
+                .run(tasks, net_options, deliver, stats);
         });
 }
 
@@ -466,11 +515,9 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
     net::FaultPlan fault = net::FaultPlan::fromEnv();
     WorkerHooks hooks = WorkerHooks::fromEnv();
 
-    wire::HelloRecord identity;
-    identity.bench = bench;
-    identity.gridPoints = grid.size();
-    identity.gridHash = wire::gridHash(grid);
-    identity.netVersion = net::kProtocolVersion;
+    const wire::HelloRecord identity{bench, grid.size(),
+                                     wire::gridHash(grid),
+                                     net::kProtocolVersion};
     const std::string hello_line = wire::encodeHelloLine(identity);
 
     using Clock = std::chrono::steady_clock;
@@ -506,6 +553,10 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
 
         net::FrameChannel channel(fd, &fault);
         channel.send(net::FrameType::kWire, hello_line);
+        const auto reply = [&channel](net::FrameType type,
+                                      const std::string &payload) {
+            channel.send(type, payload);
+        };
         bool joined = false;
 
         while (channel.isOpen()) {
@@ -524,87 +575,56 @@ ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
             std::vector<net::Frame> frames;
             const auto io = channel.readFrames(frames, error);
             for (const auto &frame : frames) {
-                if (frame.type == net::FrameType::kPing) {
-                    channel.send(net::FrameType::kPong, "");
-                    continue;
-                }
-                if (frame.type == net::FrameType::kShutdown) {
-                    // Clean end of sweep.
-                    std::string ignored;
-                    channel.flushWrites(ignored);
-                    return 0;
-                }
-                if (frame.type != net::FrameType::kWire)
-                    continue;  // a stray pong is harmless
-                wire::Record record;
-                try {
-                    record = wire::decodeLine(frame.payload);
-                } catch (const serde::SerdeError &err) {
-                    std::fprintf(stderr,
-                                 "[net] protocol error from "
-                                 "coordinator: %s\n",
-                                 err.what());
-                    channel.close();
-                    break;
-                }
-                if (!joined) {
+                if (!joined && frame.type == net::FrameType::kWire) {
+                    // The coordinator's first record is its hello.
+                    wire::Record record;
+                    std::string problem = "coordinator spoke before its "
+                                          "hello";
+                    try {
+                        record = wire::decodeLine(frame.payload);
+                    } catch (const serde::SerdeError &err) {
+                        problem = err.what();
+                    }
                     if (record.type != wire::Record::Type::kHello) {
                         std::fprintf(stderr,
-                                     "[net] coordinator spoke before "
-                                     "its hello\n");
+                                     "[net] protocol error from "
+                                     "coordinator: %s\n",
+                                     problem.c_str());
                         channel.close();
                         break;
                     }
-                    const auto &hello = record.hello;
-                    if (hello.netVersion != net::kProtocolVersion ||
-                        hello.bench != identity.bench ||
-                        hello.gridPoints != identity.gridPoints ||
-                        hello.gridHash != identity.gridHash) {
+                    if (record.hello != identity) {
                         // Version/bench/grid skew cannot heal by
                         // reconnecting: report and exit nonzero.
-                        std::fprintf(
-                            stderr,
-                            "[net] handshake mismatch: coordinator "
-                            "runs bench '%s' with %llu point(s) "
-                            "(grid %016llx, net v%llu); this worker "
-                            "built '%s' with %llu (grid %016llx, "
-                            "net v%llu)\n",
-                            hello.bench.c_str(),
-                            static_cast<unsigned long long>(
-                                hello.gridPoints),
-                            static_cast<unsigned long long>(
-                                hello.gridHash),
-                            static_cast<unsigned long long>(
-                                hello.netVersion),
-                            identity.bench.c_str(),
-                            static_cast<unsigned long long>(
-                                identity.gridPoints),
-                            static_cast<unsigned long long>(
-                                identity.gridHash),
-                            static_cast<unsigned long long>(
-                                identity.netVersion));
+                        std::fprintf(stderr,
+                                     "[net] handshake mismatch: "
+                                     "coordinator offers %s; this "
+                                     "worker has %s\n",
+                                     record.hello.describe().c_str(),
+                                     identity.describe().c_str());
                         return 1;
                     }
                     joined = true;
                     ever_joined = true;
                     continue;
                 }
-                if (record.type != wire::Record::Type::kPoint) {
+                std::string problem;
+                const Dealt next =
+                    answerDealt(pool, hooks, frame, reply, problem);
+                if (next == Dealt::kShutdown) {
+                    // Clean end of sweep.
+                    std::string ignored;
+                    channel.flushWrites(ignored);
+                    return 0;
+                }
+                if (next == Dealt::kError) {
                     std::fprintf(stderr,
-                                 "[net] unexpected record from "
-                                 "coordinator\n");
+                                 "[net] protocol error from "
+                                 "coordinator: %s\n",
+                                 problem.c_str());
                     channel.close();
                     break;
                 }
-                hooks.onPoint(record.point.index);
-                const GridPoint &point = record.point.point;
-                ExperimentResult result =
-                    pool.at(point.threads)
-                        .run(point.workload, point.config);
-                channel.send(net::FrameType::kWire,
-                             wire::encodeResultLine(
-                                 {record.point.index,
-                                  std::move(result)}));
             }
             if (io == net::FrameChannel::Io::kClosed)
                 break;
@@ -624,33 +644,41 @@ ShardedSweep::workerLoop(RunnerPool &pool, std::istream &in,
                          std::ostream &out)
 {
     WorkerHooks hooks = WorkerHooks::fromEnv();
+    const auto reply = [&out](net::FrameType type,
+                              const std::string &payload) {
+        const std::string bytes = net::encodeFrame(type, payload);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.flush();
+    };
+    auto fail = [](const std::string &why) {
+        std::fprintf(stderr, "sweep worker: %s\n", why.c_str());
+        return 1;
+    };
 
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        wire::Record record;
-        try {
-            record = wire::decodeLine(line);
-        } catch (const serde::SerdeError &error) {
-            std::fprintf(stderr, "sweep worker: %s\n", error.what());
-            return 1;
+    while (true) {
+        char header[net::kFrameHeaderBytes];
+        if (!in.read(header, sizeof(header))) {
+            // EOF between frames: the coordinator closed the stream.
+            return in.gcount() == 0 ? 0 : fail("stream ends inside a "
+                                               "frame header");
         }
-        if (record.type != wire::Record::Type::kPoint) {
-            std::fprintf(stderr,
-                         "sweep worker: expected a point record\n");
-            return 1;
+        net::Frame frame;
+        std::uint32_t length = 0;
+        std::string error;
+        if (!net::decodeFrameHeader(header, length, frame.type, error))
+            return fail(error);
+        frame.payload.resize(length);
+        if (!in.read(frame.payload.data(), length))
+            return fail("stream ends inside a frame");
+        switch (answerDealt(pool, hooks, frame, reply, error)) {
+        case Dealt::kContinue:
+            break;
+        case Dealt::kShutdown:
+            return 0;
+        case Dealt::kError:
+            return fail(error);
         }
-        hooks.onPoint(record.point.index);
-        const GridPoint &point = record.point.point;
-        ExperimentResult result =
-            pool.at(point.threads).run(point.workload, point.config);
-        out << wire::encodeResultLine(
-                   {record.point.index, std::move(result)})
-            << "\n"
-            << std::flush;
     }
-    return 0;
 }
 
 std::string
@@ -668,42 +696,32 @@ ShardedSweep::reportTiming(std::ostream &os) const
 {
     const double wall = hostStats_.get("sweep.wallMillis");
     os << "[sweep] " << hostStats_.get("sweep.points") << " points";
-    if (hostStats_.has("sweep.netJoins")) {
+    const bool listened = hostStats_.has("sweep.netJoins");
+    if (listened) {
         os << " via --listen: " << wall << " ms wall, "
            << hostStats_.get("sweep.netJoins") << " worker join(s), "
            << hostStats_.get("sweep.netLeaves") << " leave(s)\n";
-        const double losses = hostStats_.get("sweep.workerCrashes");
-        const double kills = hostStats_.get("sweep.watchdogKills");
-        if (losses > 0 || kills > 0) {
-            os << "[sweep] supervision: " << losses
-               << " connection loss(es), " << kills
-               << " watchdog kill(s), "
-               << hostStats_.get("sweep.retries") << " retr(y/ies), "
-               << hostStats_.get("sweep.quarantined")
-               << " quarantined\n";
-        }
-        return;
-    }
-    if (hostStats_.has("sweep.forkedWorkers")) {
+    } else if (hostStats_.has("sweep.forkedWorkers")) {
         os << " on " << hostStats_.get("sweep.forkedWorkers")
            << " forked worker(s): " << wall << " ms wall\n";
-        const double crashes = hostStats_.get("sweep.workerCrashes");
-        const double kills = hostStats_.get("sweep.watchdogKills");
-        if (crashes > 0 || kills > 0) {
-            os << "[sweep] supervision: " << crashes
-               << " worker crash(es), " << kills
-               << " watchdog kill(s), "
-               << hostStats_.get("sweep.retries") << " retr(y/ies), "
-               << hostStats_.get("sweep.respawns") << " respawn(s), "
-               << hostStats_.get("sweep.quarantined")
-               << " quarantined\n";
-        }
+    } else {
+        const double work = hostStats_.get("sweep.workMillis");
+        os << " on " << jobs_ << " job(s): " << wall << " ms wall, "
+           << work << " ms of work (parallelism "
+           << (wall > 0.0 ? work / wall : 0.0) << "x)\n";
         return;
     }
-    const double work = hostStats_.get("sweep.workMillis");
-    os << " on " << jobs_ << " job(s): " << wall << " ms wall, " << work
-       << " ms of work (parallelism "
-       << (wall > 0.0 ? work / wall : 0.0) << "x)\n";
+    const double crashes = hostStats_.get("sweep.workerCrashes");
+    const double kills = hostStats_.get("sweep.watchdogKills");
+    if (crashes > 0 || kills > 0) {
+        os << "[sweep] supervision: " << crashes
+           << (listened ? " connection loss(es), " : " worker crash(es), ")
+           << kills << " watchdog kill(s), "
+           << hostStats_.get("sweep.retries") << " retr(y/ies), ";
+        if (!listened)
+            os << hostStats_.get("sweep.respawns") << " respawn(s), ";
+        os << hostStats_.get("sweep.quarantined") << " quarantined\n";
+    }
 }
 
 } // namespace acr::harness

@@ -9,11 +9,12 @@
  * rendered output is bit-identical to a `--jobs=1` single-process run
  * no matter how the work was spread.
  *
- * Workers speak the wire format (harness/wire.hh): the coordinator
- * streams PointRecords to a worker's stdin and reads ResultRecords
- * from its stdout as line-delimited JSON, one flushed line per
- * finished experiment, so results arrive (and the ordered sink fires)
- * as they land rather than at an end-of-sweep barrier.
+ * Workers speak the wire format (harness/wire.hh) inside net frames
+ * (harness/net.hh), over TCP or — for a forked worker — over the
+ * socketpair that is its stdin and stdout: the coordinator deals one
+ * PointRecord at a time and each worker answers with one ResultRecord
+ * per finished experiment, so results arrive (and the ordered sink
+ * fires) as they land rather than at an end-of-sweep barrier.
  *
  * Simulated results never contain host timing — wall clock depends on
  * scheduling, and results must not — so wall-clock observations live
@@ -118,8 +119,8 @@ class ShardedSweep
          */
         const std::map<std::size_t, ExperimentResult> *cache = nullptr;
 
-        /** Retry/backoff/watchdog knobs for the forked executor
-         *  (workers is overridden by runForked's argument). */
+        /** Retry/watchdog/heartbeat knobs for the forked and TCP
+         *  executors (workers is overridden by runForked's argument). */
         Supervisor::Options supervise;
     };
 
@@ -167,9 +168,10 @@ class ShardedSweep
      * of the same bench binary; resolve via selfExecutable()),
      * supervised by harness::Supervisor: points are assigned
      * one-at-a-time to idle workers, a crashed or wedged worker is
-     * replaced and its in-flight point retried with backoff, and a
-     * point that exhausts its retries is delivered as an
-     * ExperimentResult::quarantined placeholder.
+     * reaped and its in-flight point retried with backoff on a worker
+     * forked when the point is ready, and a point that exhausts its
+     * retries is delivered as an ExperimentResult::quarantined
+     * placeholder.
      */
     std::vector<ExperimentResult>
     runForked(const std::vector<GridPoint> &points, unsigned workers,
@@ -185,18 +187,17 @@ class ShardedSweep
     /**
      * Distributed mode (`--listen`, DESIGN.md §15): accept TCP
      * `--connect` workers on @p listen and deal the whole grid to
-     * whatever fleet shows up, via Supervisor::runListen — elastic
-     * membership, the shared retry/backoff/quarantine ladder, and the
-     * same ordered merge, so rendered output stays byte-identical to
-     * a local `--jobs=1` run no matter how the fleet churned. Cached
-     * points (journal / result cache) are served coordinator-side and
-     * never dealt; a fully served grid returns without ever
-     * listening.
+     * whatever fleet shows up, through the same Supervisor loop as
+     * runForked — elastic membership, the shared
+     * retry/backoff/quarantine ladder, and the same ordered merge, so
+     * rendered output stays byte-identical to a local `--jobs=1` run
+     * no matter how the fleet churned. Cached points (journal /
+     * result cache) are served coordinator-side and never dealt; a
+     * fully served grid returns without ever listening.
      */
     std::vector<ExperimentResult>
     runDistributed(const std::vector<GridPoint> &points,
-                   const net::Endpoint &listen, unsigned heartbeatSec,
-                   const std::string &bench,
+                   const net::Endpoint &listen, const std::string &bench,
                    const SweepControls &controls);
 
     /**
@@ -212,9 +213,10 @@ class ShardedSweep
      * (version/bench/grid skew) exits 1 immediately: reconnecting
      * cannot fix it.
      *
-     * The workerLoop fault hooks apply here too, and ACR_NET_FAULT
-     * (net::FaultPlan) arms one transport fault on outbound frames,
-     * with ordinals counted across reconnects.
+     * Dealt frames are answered exactly as in workerLoop, fault hooks
+     * included, and ACR_NET_FAULT (net::FaultPlan) arms one transport
+     * fault on outbound frames, with ordinals counted across
+     * reconnects.
      */
     static int netWorkerLoop(RunnerPool &pool, const std::string &bench,
                              const std::vector<GridPoint> &grid,
@@ -222,10 +224,14 @@ class ShardedSweep
                              unsigned heartbeatSec);
 
     /**
-     * The `--worker` side: read PointRecord lines from @p in until
-     * EOF, execute each against @p pool, and write one flushed
-     * ResultRecord line to @p out per point. Returns a process exit
-     * code (nonzero after a malformed record).
+     * The `--worker` side: read net frames from @p in — a forked
+     * worker's stdin, one end of the coordinator's socketpair — and
+     * answer on @p out, its stdout and the same socket: each point
+     * frame is executed against @p pool and answered with one flushed
+     * result frame, a ping with a pong. Returns a process exit code:
+     * 0 on a shutdown frame or EOF between frames, nonzero on a
+     * malformed frame or record. There is no handshake — the
+     * coordinator built this process's argv from its own binary.
      *
      * Fault-injection hooks for the supervisor tests (inert unless
      * the environment variables are set): ACR_TEST_CRASH_AT=k

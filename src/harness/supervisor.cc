@@ -1,8 +1,5 @@
 #include "harness/supervisor.hh"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -18,10 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
-#include <iterator>
 #include <memory>
-#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -34,6 +28,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Seed of the backoff jitter (timing only; results are unaffected). */
+constexpr std::uint64_t kJitterSeed = 0x5eed;
+
 Clock::duration
 secondsDuration(double seconds)
 {
@@ -41,33 +38,67 @@ secondsDuration(double seconds)
         std::chrono::duration<double>(seconds));
 }
 
-/** write(2) the whole buffer, retrying on EINTR; fatal() on error
- *  (used for the journal — worker pipes go through the nonblocking
- *  path below). */
-void
-writeAllFd(int fd, const std::string &bytes, const char *what)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("writing %s: %s", what, std::strerror(errno));
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
+/** How a reaped child ended (a blocking waitpid without WUNTRACED
+ *  only reports exits and signals). */
 std::string
 describeStatus(int status)
 {
-    if (WIFEXITED(status))
-        return csprintf("exited with status %d", WEXITSTATUS(status));
-    if (WIFSIGNALED(status))
-        return csprintf("killed by signal %d", WTERMSIG(status));
-    return csprintf("ended with wait status %d", status);
+    return WIFEXITED(status)
+               ? csprintf("exited with status %d", WEXITSTATUS(status))
+               : csprintf("killed by signal %d", WTERMSIG(status));
+}
+
+/** Blocking waitpid on @p pid alone (never -1: other children of the
+ *  process are not ours to reap); the wait status. */
+int
+reap(pid_t pid)
+{
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR)
+            fatal("waitpid %d: %s", static_cast<int>(pid),
+                  std::strerror(errno));
+    }
+    return status;
+}
+
+/**
+ * Fork/exec @p argv with the far end of a fresh socketpair as both its
+ * stdin and stdout. Returns the child's pid; @p fd receives the
+ * coordinator's (nonblocking) end.
+ */
+pid_t
+spawnWorker(const std::vector<std::string> &argv, bool respawn, int &fd)
+{
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0)
+        fatal("socketpair: %s", std::strerror(errno));
+    std::vector<char *> args;
+    for (const auto &arg : argv)
+        args.push_back(const_cast<char *>(arg.c_str()));
+    args.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        fatal("fork: %s", std::strerror(errno));
+    if (pid == 0) {
+        // Child: stdin and stdout onto the far end (dup2 clears
+        // O_CLOEXEC on the copies, so every other coordinator fd —
+        // sibling workers' ends included — closes across exec, and a
+        // dead sibling's EOF stays observable). The end stays
+        // blocking: the worker loop reads it as a plain stream.
+        ::dup2(ends[1], STDIN_FILENO);
+        ::dup2(ends[1], STDOUT_FILENO);
+        if (respawn)
+            ::setenv("ACR_TEST_RESPAWNED", "1", 1);
+        ::execv(args[0], args.data());
+        std::fprintf(stderr, "execv %s: %s\n", args[0],
+                     std::strerror(errno));
+        ::_exit(127);
+    }
+    ::close(ends[1]);
+    net::setNonblocking(ends[0]);
+    fd = ends[0];
+    return pid;
 }
 
 /** One attempt of one task, with its backoff gate. */
@@ -78,92 +109,43 @@ struct Attempt
     Clock::time_point readyAt;
 };
 
-/**
- * The one retry/backoff/quarantine ladder every executor shares
- * (forked and TCP alike): bump the failed attempt and either requeue
- * it behind its jittered backoff or quarantine it — delivered as the
- * placeholder result so the sweep completes around it.
- */
-void
-retryOrQuarantine(const Supervisor::Options &options, Attempt attempt,
-                  const std::string &reason, std::deque<Attempt> &queue,
-                  const Supervisor::Deliver &deliver,
-                  std::size_t &remaining, double &retries,
-                  double &quarantined)
+/** One member of the fleet: a forked child on a socketpair, or a TCP
+ *  connection. */
+struct Peer
 {
-    ++attempt.tries;
-    const std::size_t index = attempt.task.gridIndex;
-    if (attempt.tries > options.retries) {
-        ++quarantined;
-        std::fprintf(stderr,
-                     "[sweep] quarantining point %zu after %u "
-                     "attempt(s): %s\n",
-                     index, attempt.tries, reason.c_str());
-        deliver(attempt.task,
-                ExperimentResult::quarantined(attempt.tries, reason));
-        --remaining;
-    } else {
-        ++retries;
-        const double delay =
-            Supervisor::backoffSeconds(options, attempt.tries, index);
-        std::fprintf(stderr,
-                     "[sweep] point %zu failed (%s); retry %u/%u on a "
-                     "fresh worker in %.2fs\n",
-                     index, reason.c_str(), attempt.tries,
-                     options.retries, delay);
-        attempt.readyAt = Clock::now() + secondsDuration(delay);
-        queue.push_back(attempt);
+    enum class State { kHandshake, kIdle, kBusy };
+
+    std::uint64_t id;
+    pid_t pid;  ///< the forked child; -1 for a TCP peer
+    net::FrameChannel channel;
+    State state;
+    Attempt attempt;             ///< valid while kBusy
+    Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
+    Clock::time_point lastHeard;
+    Clock::time_point lastPing;
+
+    Peer(std::uint64_t id_, pid_t pid_, int fd, State state_,
+         Clock::time_point now)
+        : id(id_), pid(pid_), channel(fd), state(state_),
+          lastHeard(now), lastPing(now)
+    {
     }
-}
-
-/** A live worker child and its nonblocking pipe state. */
-struct Worker
-{
-    pid_t pid = -1;
-    int in = -1;   ///< parent → child stdin (point lines)
-    int out = -1;  ///< child stdout → parent (result lines)
-    std::string rbuf;
-    std::string wbuf;
-    bool busy = false;
-    Attempt attempt;  ///< valid while busy
-    Clock::time_point deadline;  ///< valid while busy w/ watchdog
-    std::optional<int> reapedStatus;  ///< set by the WNOHANG sweep
 };
-
-void
-setNonblocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-        fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
-}
 
 } // namespace
 
-Supervisor::Supervisor(std::vector<std::string> workerCmd,
-                       Options options)
-    : workerCmd_(std::move(workerCmd)), options_(options)
-{
-    ACR_ASSERT(!workerCmd_.empty(), "empty worker command");
-}
-
-Supervisor::Supervisor(Options options) : options_(options)
-{
-}
-
 double
-Supervisor::backoffSeconds(const Options &options, unsigned tries,
-                           std::size_t gridIndex)
+Supervisor::backoffSeconds(unsigned tries, std::size_t gridIndex)
 {
     const unsigned exponent = tries > 0 ? tries - 1 : 0;
-    double delay = options.backoffBaseSec *
+    double delay = kBackoffBaseSec *
                    std::ldexp(1.0, static_cast<int>(
                                        std::min(exponent, 20u)));
-    delay = std::min(delay, options.backoffCapSec);
+    delay = std::min(delay, kBackoffCapSec);
     // Deterministic jitter in [0.5, 1.5)x: spreads retries without
     // making runs irreproducible (timing only; results are merged by
     // grid index regardless).
-    Rng rng(options.jitterSeed ^
+    Rng rng(kJitterSeed ^
             (static_cast<std::uint64_t>(gridIndex) *
              0x9e3779b97f4a7c15ULL) ^
             tries);
@@ -171,356 +153,35 @@ Supervisor::backoffSeconds(const Options &options, unsigned tries,
 }
 
 void
-Supervisor::run(const std::vector<Task> &tasks, const Deliver &deliver,
-                StatSet &stats)
+Supervisor::run(const std::vector<Task> &tasks,
+                const std::vector<std::string> &workerCmd,
+                const Deliver &deliver, StatSet &stats)
 {
-    ACR_ASSERT(deliver, "supervisor needs a delivery sink");
-    ACR_ASSERT(!workerCmd_.empty(),
-               "forked run() needs a worker command (the net-only "
-               "constructor only supports runListen)");
-
-    // A write to a just-died worker must surface as EPIPE (triggering
-    // a retry), not kill the whole sweep.
-    std::signal(SIGPIPE, SIG_IGN);
-
-    double respawns = 0, retries = 0, crashes = 0, watchdog_kills = 0,
-           quarantined = 0;
-
-    std::deque<Attempt> queue;
-    for (const auto &task : tasks)
-        queue.push_back({task, 0, Clock::now()});
-
-    std::vector<std::unique_ptr<Worker>> workers;
-    std::size_t remaining = tasks.size();
-    const std::size_t initial_fleet = std::min<std::size_t>(
-        std::max(1u, options_.workers), tasks.size());
-    std::size_t total_spawned = 0;
-
-    auto spawn = [&]() {
-        int to_child[2], from_child[2];
-        if (::pipe2(to_child, O_CLOEXEC) != 0 ||
-            ::pipe2(from_child, O_CLOEXEC) != 0)
-            fatal("pipe2: %s", std::strerror(errno));
-        const bool respawn = total_spawned >= initial_fleet;
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            fatal("fork: %s", std::strerror(errno));
-        if (pid == 0) {
-            // Child: stdin/stdout onto the pipes (dup2 clears
-            // O_CLOEXEC, so every other parent-held fd — including
-            // sibling workers' pipes — closes across exec; a dead
-            // sibling's pipe EOF therefore stays observable).
-            ::dup2(to_child[0], STDIN_FILENO);
-            ::dup2(from_child[1], STDOUT_FILENO);
-            if (respawn)
-                ::setenv("ACR_TEST_RESPAWNED", "1", 1);
-            std::vector<char *> argv;
-            argv.reserve(workerCmd_.size() + 1);
-            for (const auto &arg : workerCmd_)
-                argv.push_back(const_cast<char *>(arg.c_str()));
-            argv.push_back(nullptr);
-            ::execv(argv[0], argv.data());
-            std::fprintf(stderr, "execv %s: %s\n", argv[0],
-                         std::strerror(errno));
-            ::_exit(127);
-        }
-        ::close(to_child[0]);
-        ::close(from_child[1]);
-        setNonblocking(to_child[1]);
-        setNonblocking(from_child[0]);
-        auto worker = std::make_unique<Worker>();
-        worker->pid = pid;
-        worker->in = to_child[1];
-        worker->out = from_child[0];
-        workers.push_back(std::move(worker));
-        ++total_spawned;
-        if (respawn)
-            ++respawns;
-    };
-
-    auto eraseWorker = [&](Worker *worker) {
-        workers.erase(
-            std::find_if(workers.begin(), workers.end(),
-                         [&](const std::unique_ptr<Worker> &w) {
-                             return w.get() == worker;
-                         }));
-    };
-
-    // Tear the worker down and retry or quarantine its in-flight
-    // point. Invalidates `worker`.
-    auto failWorker = [&](Worker *worker, const std::string &reason) {
-        if (!worker->reapedStatus) {
-            ::kill(worker->pid, SIGKILL);
-            int status = 0;
-            while (::waitpid(worker->pid, &status, 0) < 0) {
-                if (errno != EINTR) {
-                    status = -1;
-                    break;
-                }
-            }
-        }
-        ::close(worker->in);
-        ::close(worker->out);
-        if (worker->busy)
-            retryOrQuarantine(options_, worker->attempt, reason, queue,
-                              deliver, remaining, retries,
-                              quarantined);
-        eraseWorker(worker);
-    };
-
-    // Flush wbuf opportunistically; on a hard write error rely on the
-    // read side (EOF) for the authoritative failure unless the error
-    // is immediate (EPIPE: the child is already gone).
-    auto flushWrites = [&](Worker *worker) -> bool {
-        while (!worker->wbuf.empty()) {
-            const ssize_t n =
-                ::write(worker->in, worker->wbuf.data(),
-                        worker->wbuf.size());
-            if (n > 0) {
-                worker->wbuf.erase(0, static_cast<std::size_t>(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                return true;
-            failWorker(worker,
-                       csprintf("write to worker failed: %s",
-                                std::strerror(errno)));
-            return false;
-        }
-        return true;
-    };
-
-    // Drain readable result lines; returns false once the worker has
-    // been failed (crash, EOF, protocol violation).
-    auto drainReads = [&](Worker *worker) -> bool {
-        while (true) {
-            char chunk[65536];
-            const ssize_t n =
-                ::read(worker->out, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    return true;
-                failWorker(worker,
-                           csprintf("read from worker failed: %s",
-                                    std::strerror(errno)));
-                return false;
-            }
-            if (n == 0) {
-                // EOF: the child is gone; report how it died.
-                ++crashes;
-                int status = 0;
-                std::string how = "pipe closed";
-                if (worker->reapedStatus) {
-                    how = describeStatus(*worker->reapedStatus);
-                } else {
-                    pid_t reaped;
-                    while ((reaped = ::waitpid(worker->pid, &status,
-                                               WNOHANG)) < 0 &&
-                           errno == EINTR) {
-                    }
-                    if (reaped == worker->pid) {
-                        worker->reapedStatus = status;
-                        how = describeStatus(status);
-                    }
-                }
-                failWorker(worker, "worker " + how);
-                return false;
-            }
-            worker->rbuf.append(chunk, static_cast<std::size_t>(n));
-            std::size_t newline;
-            while ((newline = worker->rbuf.find('\n')) !=
-                   std::string::npos) {
-                const std::string line =
-                    worker->rbuf.substr(0, newline);
-                worker->rbuf.erase(0, newline + 1);
-                wire::Record record;
-                try {
-                    record = wire::decodeLine(line);
-                } catch (const serde::SerdeError &error) {
-                    failWorker(worker,
-                               csprintf("protocol error: %s",
-                                        error.what()));
-                    return false;
-                }
-                if (record.type != wire::Record::Type::kResult ||
-                    !worker->busy ||
-                    record.result.index !=
-                        worker->attempt.task.gridIndex) {
-                    failWorker(worker,
-                               "protocol error: unexpected record");
-                    return false;
-                }
-                deliver(worker->attempt.task,
-                        std::move(record.result.result));
-                worker->busy = false;
-                --remaining;
-            }
-        }
-    };
-
-    while (remaining > 0) {
-        // Reap crashed children (crash detection half 1; the pipe EOF
-        // is half 2 and carries the retry).
-        while (true) {
-            int status = 0;
-            const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-            if (pid <= 0) {
-                if (pid < 0 && errno == EINTR)
-                    continue;
-                break;
-            }
-            for (auto &worker : workers)
-                if (worker->pid == pid)
-                    worker->reapedStatus = status;
-        }
-
-        // Keep the fleet at strength: one live worker per outstanding
-        // point, capped at --forks.
-        while (workers.size() <
-               std::min<std::size_t>(std::max(1u, options_.workers),
-                                     remaining))
-            spawn();
-
-        // Hand ready work to idle workers.
-        const auto now = Clock::now();
-        for (auto &worker : workers) {
-            if (worker->busy || queue.empty())
-                continue;
-            const auto ready = std::find_if(
-                queue.begin(), queue.end(), [&](const Attempt &a) {
-                    return a.readyAt <= now;
-                });
-            if (ready == queue.end())
-                break;
-            worker->attempt = *ready;
-            queue.erase(ready);
-            worker->busy = true;
-            worker->wbuf += wire::encodePointLine(
-                                {worker->attempt.task.gridIndex,
-                                 *worker->attempt.task.point}) +
-                            "\n";
-            if (options_.pointTimeoutSec > 0)
-                worker->deadline =
-                    now + secondsDuration(options_.pointTimeoutSec);
-        }
-
-        // Nearest wakeup: a watchdog deadline or a backoff expiry.
-        int timeout_ms = -1;
-        auto wakeAt = [&](Clock::time_point when) {
-            const auto delta =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    when - now)
-                    .count();
-            const int ms =
-                static_cast<int>(std::max<long long>(0, delta));
-            timeout_ms =
-                timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
-        };
-        for (const auto &worker : workers)
-            if (worker->busy && options_.pointTimeoutSec > 0)
-                wakeAt(worker->deadline);
-        for (const auto &attempt : queue)
-            wakeAt(attempt.readyAt);
-
-        std::vector<pollfd> fds;
-        std::vector<std::pair<pid_t, bool>> owners;  // pid, is_out
-        fds.reserve(workers.size() * 2);
-        for (const auto &worker : workers) {
-            fds.push_back({worker->out, POLLIN, 0});
-            owners.emplace_back(worker->pid, true);
-            if (!worker->wbuf.empty()) {
-                fds.push_back({worker->in, POLLOUT, 0});
-                owners.emplace_back(worker->pid, false);
-            }
-        }
-        const int rc =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   timeout_ms);
-        if (rc < 0 && errno != EINTR)
-            fatal("poll: %s", std::strerror(errno));
-
-        auto findWorker = [&](pid_t pid) -> Worker * {
-            for (auto &worker : workers)
-                if (worker->pid == pid)
-                    return worker.get();
-            return nullptr;
-        };
-
-        if (rc > 0) {
-            for (std::size_t i = 0; i < fds.size(); ++i) {
-                if (fds[i].revents == 0)
-                    continue;
-                // The worker may have been failed (and erased) while
-                // handling an earlier fd this round.
-                Worker *worker = findWorker(owners[i].first);
-                if (worker == nullptr)
-                    continue;
-                if (owners[i].second)
-                    drainReads(worker);
-                else
-                    flushWrites(worker);
-            }
-        }
-
-        // Watchdog: SIGKILL a worker that has sat on one point past
-        // --point-timeout.
-        if (options_.pointTimeoutSec > 0) {
-            const auto check = Clock::now();
-            for (std::size_t i = 0; i < workers.size();) {
-                Worker *worker = workers[i].get();
-                if (worker->busy && check >= worker->deadline) {
-                    ++watchdog_kills;
-                    failWorker(
-                        worker,
-                        csprintf("point exceeded --point-timeout=%g s",
-                                 options_.pointTimeoutSec));
-                    // failWorker erased the worker; don't advance.
-                    continue;
-                }
-                ++i;
-            }
-        }
-    }
-
-    // Graceful shutdown: stdin EOF ends each worker loop.
-    for (const auto &worker : workers) {
-        ::close(worker->in);
-        ::close(worker->out);
-    }
-    for (const auto &worker : workers) {
-        int status = 0;
-        while (::waitpid(worker->pid, &status, 0) < 0) {
-            if (errno != EINTR)
-                break;
-        }
-    }
-    workers.clear();
-
-    stats.set("sweep.respawns", respawns);
-    stats.set("sweep.retries", retries);
-    stats.set("sweep.workerCrashes", crashes);
-    stats.set("sweep.watchdogKills", watchdog_kills);
-    stats.set("sweep.quarantined", quarantined);
+    ACR_ASSERT(!workerCmd.empty(), "empty worker command");
+    supervise(tasks, &workerCmd, nullptr, deliver, stats);
 }
 
 void
-Supervisor::runListen(const std::vector<Task> &tasks,
-                      const NetOptions &net_options,
-                      const Deliver &deliver, StatSet &stats)
+Supervisor::run(const std::vector<Task> &tasks, const NetOptions &net,
+                const Deliver &deliver, StatSet &stats)
+{
+    supervise(tasks, nullptr, &net, deliver, stats);
+}
+
+void
+Supervisor::supervise(const std::vector<Task> &tasks,
+                      const std::vector<std::string> *workerCmd,
+                      const NetOptions *net, const Deliver &deliver,
+                      StatSet &stats)
 {
     ACR_ASSERT(deliver, "supervisor needs a delivery sink");
-    ACR_ASSERT(net_options.heartbeatSec > 0,
-               "heartbeat must be positive");
+    ACR_ASSERT(options_.heartbeatSec > 0, "heartbeat must be positive");
 
-    // A send to a just-vanished worker must surface as a closed
-    // channel (triggering a re-deal), not kill the coordinator.
+    // A send to a just-vanished peer must surface as a closed channel
+    // (triggering a retry), not kill the coordinator.
     std::signal(SIGPIPE, SIG_IGN);
 
-    double retries = 0, losses = 0, watchdog_kills = 0,
+    double respawns = 0, retries = 0, busy_drops = 0, watchdog_kills = 0,
            quarantined = 0, joins = 0, leaves = 0;
 
     std::deque<Attempt> queue;
@@ -528,90 +189,114 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         queue.push_back({task, 0, Clock::now()});
     std::size_t remaining = tasks.size();
 
-    net::Endpoint bound;
-    const int listen_fd = net::listenOn(net_options.listen, bound);
-    std::fprintf(stderr, "[net] listening on %s\n",
-                 bound.describe().c_str());
+    // Forked fleet: children are spawned on demand, up to this many at
+    // once; spawns beyond the first `fleet` are respawns.
+    const std::size_t fleet = std::max(1u, options_.workers);
+    const std::size_t initial_fleet =
+        std::min<std::size_t>(fleet, tasks.size());
+    std::size_t spawned = 0;
 
-    /** One connected (or connecting) TCP member of the fleet. */
-    struct NetWorker
-    {
-        enum class State { kHandshake, kIdle, kBusy };
+    // TCP fleet: workers dial in and handshake.
+    int listen_fd = -1;
+    wire::HelloRecord identity;
+    std::string hello_line;
+    if (net != nullptr) {
+        net::Endpoint bound;
+        listen_fd = net::listenOn(net->listen, bound);
+        std::fprintf(stderr, "[net] listening on %s\n",
+                     bound.describe().c_str());
+        identity = {net->bench, net->gridPoints, net->gridHash,
+                    net::kProtocolVersion};
+        hello_line = wire::encodeHelloLine(identity);
+    }
 
-        std::uint64_t id = 0;
-        net::FrameChannel channel;
-        State state = State::kHandshake;
-        Attempt attempt;             ///< valid while kBusy
-        Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
-        Clock::time_point lastHeard;
-        Clock::time_point lastPing;
-
-        NetWorker(std::uint64_t id_, int fd) : id(id_), channel(fd) {}
-    };
-    std::vector<std::unique_ptr<NetWorker>> workers;
+    std::vector<std::unique_ptr<Peer>> peers;
     std::uint64_t next_id = 1;
 
-    const auto heartbeat = secondsDuration(net_options.heartbeatSec);
+    const auto heartbeat = secondsDuration(options_.heartbeatSec);
     // An unresponsive *idle* peer is dropped after missing several
     // heartbeats. A busy peer is single-threadedly simulating and
     // cannot answer pings, so only the --point-timeout watchdog (and
-    // TCP itself, for an outright death) covers it.
+    // the stream itself, for an outright death) covers it.
     const auto idle_timeout = heartbeat * 4;
     // With work queued and nobody connected, wait this long for a
     // (re)join before quarantining everything left — the sweep
-    // degrades to FAILED cells and exit 3, it never hangs.
+    // degrades to FAILED cells and exit 3, it never hangs. A forked
+    // fleet never waits: it spawns.
     const auto join_grace = heartbeat * 8;
     auto empty_since = Clock::now();
 
-    wire::HelloRecord identity;
-    identity.bench = net_options.bench;
-    identity.gridPoints = net_options.gridPoints;
-    identity.gridHash = net_options.gridHash;
-    identity.netVersion = net::kProtocolVersion;
-    const std::string hello_line = wire::encodeHelloLine(identity);
-
-    auto eraseWorker = [&](NetWorker *worker) {
-        workers.erase(
-            std::find_if(workers.begin(), workers.end(),
-                         [&](const std::unique_ptr<NetWorker> &w) {
-                             return w.get() == worker;
-                         }));
-    };
-
-    // Drop the connection; a busy member's in-flight point re-enters
-    // the shared retry/backoff/quarantine ladder, an idle leave costs
-    // nothing. Invalidates `worker`.
-    auto dropWorker = [&](NetWorker *worker,
+    // Give up on @p attempt: deliver its placeholder result so the
+    // sweep completes around it.
+    auto quarantine = [&](const Attempt &attempt,
                           const std::string &reason) {
-        if (worker->state != NetWorker::State::kHandshake)
-            ++leaves;
-        if (worker->state == NetWorker::State::kBusy) {
-            ++losses;
-            retryOrQuarantine(options_, worker->attempt, reason, queue,
-                              deliver, remaining, retries,
-                              quarantined);
-        } else {
-            std::fprintf(
-                stderr, "[net] worker #%llu left: %s\n",
-                static_cast<unsigned long long>(worker->id),
-                reason.c_str());
-        }
-        worker->channel.close();
-        eraseWorker(worker);
+        ++quarantined;
+        std::fprintf(stderr,
+                     "[sweep] quarantining point %zu after %u "
+                     "attempt(s): %s\n",
+                     attempt.task.gridIndex, attempt.tries,
+                     reason.c_str());
+        deliver(attempt.task,
+                ExperimentResult::quarantined(attempt.tries, reason));
+        --remaining;
     };
 
-    // Apply one inbound frame; returns false once the worker has been
+    // Drop @p peer, invalidating it. A forked peer is SIGKILLed and
+    // reaped by pid; when its stream @p closed under it (EOF, EPIPE,
+    // ECONNRESET — which one wins is a race), its exit status is the
+    // reason. A busy peer's in-flight point is retried behind its
+    // jittered backoff or, out of retries, quarantined. An idle leave
+    // costs nothing.
+    auto dropPeer = [&](Peer *peer, std::string reason, bool closed) {
+        peer->channel.close();
+        if (peer->pid > 0) {
+            ::kill(peer->pid, SIGKILL);
+            const int status = reap(peer->pid);
+            if (closed)
+                reason = "worker " + describeStatus(status);
+        }
+        if (peer->state != Peer::State::kHandshake)
+            ++leaves;
+        if (peer->state == Peer::State::kBusy) {
+            ++busy_drops;
+            Attempt attempt = peer->attempt;
+            ++attempt.tries;
+            if (attempt.tries > options_.retries) {
+                quarantine(attempt, reason);
+            } else {
+                ++retries;
+                const double delay =
+                    backoffSeconds(attempt.tries, attempt.task.gridIndex);
+                std::fprintf(stderr,
+                             "[sweep] point %zu failed (%s); retry "
+                             "%u/%u on a fresh worker in %.2fs\n",
+                             attempt.task.gridIndex, reason.c_str(),
+                             attempt.tries, options_.retries, delay);
+                attempt.readyAt = Clock::now() + secondsDuration(delay);
+                queue.push_back(attempt);
+            }
+        } else {
+            std::fprintf(stderr, "[%s] worker #%llu left: %s\n",
+                         peer->pid > 0 ? "sweep" : "net",
+                         static_cast<unsigned long long>(peer->id),
+                         reason.c_str());
+        }
+        peers.erase(std::find_if(
+            peers.begin(), peers.end(),
+            [&](const std::unique_ptr<Peer> &p) { return p.get() == peer; }));
+    };
+
+    // Apply one inbound frame; returns false once the peer has been
     // dropped (protocol violation, handshake mismatch).
-    auto handleFrame = [&](NetWorker *worker,
-                           const net::Frame &frame) -> bool {
-        worker->lastHeard = Clock::now();
+    auto handleFrame = [&](Peer *peer, const net::Frame &frame) -> bool {
+        peer->lastHeard = Clock::now();
         if (frame.type == net::FrameType::kPong)
             return true;
         if (frame.type != net::FrameType::kWire) {
-            dropWorker(worker,
-                       csprintf("protocol error: unexpected frame "
-                                "type %u",
-                                static_cast<unsigned>(frame.type)));
+            dropPeer(peer,
+                     csprintf("protocol error: unexpected frame type %u",
+                              static_cast<unsigned>(frame.type)),
+                     false);
             return false;
         }
         wire::Record record;
@@ -620,50 +305,38 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         } catch (const serde::SerdeError &error) {
             // A garbled frame (or a skewed wire version — the record
             // envelope carries it) reads as a protocol error; the
-            // member is dropped and any in-flight point re-dealt.
-            dropWorker(worker, csprintf("protocol error: %s",
-                                        error.what()));
+            // peer is dropped and any in-flight point re-dealt.
+            dropPeer(peer, csprintf("protocol error: %s", error.what()),
+                     false);
             return false;
         }
-        if (worker->state == NetWorker::State::kHandshake) {
+        if (peer->state == Peer::State::kHandshake) {
             if (record.type != wire::Record::Type::kHello) {
-                dropWorker(worker,
-                           "protocol error: expected a hello record");
+                dropPeer(peer, "protocol error: expected a hello record",
+                         false);
                 return false;
             }
-            const auto &hello = record.hello;
-            if (hello.netVersion != net::kProtocolVersion ||
-                hello.bench != identity.bench ||
-                hello.gridPoints != identity.gridPoints ||
-                hello.gridHash != identity.gridHash) {
-                dropWorker(
-                    worker,
-                    csprintf("handshake mismatch: worker offers "
-                             "bench '%s', %llu point(s), grid "
-                             "%016llx, net v%llu",
-                             hello.bench.c_str(),
-                             static_cast<unsigned long long>(
-                                 hello.gridPoints),
-                             static_cast<unsigned long long>(
-                                 hello.gridHash),
-                             static_cast<unsigned long long>(
-                                 hello.netVersion)));
+            if (record.hello != identity) {
+                dropPeer(peer,
+                         "handshake mismatch: worker offers " +
+                             record.hello.describe(),
+                         false);
                 return false;
             }
-            worker->state = NetWorker::State::kIdle;
+            peer->state = Peer::State::kIdle;
             ++joins;
             std::fprintf(stderr, "[net] worker #%llu joined\n",
-                         static_cast<unsigned long long>(worker->id));
+                         static_cast<unsigned long long>(peer->id));
             return true;
         }
         if (record.type != wire::Record::Type::kResult ||
-            worker->state != NetWorker::State::kBusy ||
-            record.result.index != worker->attempt.task.gridIndex) {
-            dropWorker(worker, "protocol error: unexpected record");
+            peer->state != Peer::State::kBusy ||
+            record.result.index != peer->attempt.task.gridIndex) {
+            dropPeer(peer, "protocol error: unexpected record", false);
             return false;
         }
-        deliver(worker->attempt.task, std::move(record.result.result));
-        worker->state = NetWorker::State::kIdle;
+        deliver(peer->attempt.task, std::move(record.result.result));
+        peer->state = Peer::State::kIdle;
         --remaining;
         return true;
     };
@@ -672,212 +345,206 @@ Supervisor::runListen(const std::vector<Task> &tasks,
         const auto now = Clock::now();
 
         // Accept joiners — late ones included; membership is elastic.
-        while (true) {
-            const int fd = ::accept(listen_fd, nullptr, nullptr);
-            if (fd < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break;
-                fatal("accept: %s", std::strerror(errno));
+        if (listen_fd >= 0) {
+            for (int fd; (fd = net::acceptOnce(listen_fd)) >= 0;) {
+                peers.push_back(std::make_unique<Peer>(
+                    next_id++, -1, fd, Peer::State::kHandshake, now));
+                peers.back()->channel.send(net::FrameType::kWire,
+                                           hello_line);
             }
-            setNonblocking(fd);
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof(one));
-            auto worker = std::make_unique<NetWorker>(next_id++, fd);
-            worker->lastHeard = now;
-            worker->lastPing = now;
-            worker->channel.send(net::FrameType::kWire, hello_line);
-            workers.push_back(std::move(worker));
         }
 
-        // Deal ready work to idle members (dynamic work-stealing: the
-        // next free worker takes the next ready point, so a fleet of
-        // any changing size drains the same queue).
-        for (auto &worker : workers) {
-            if (worker->state != NetWorker::State::kIdle ||
-                queue.empty())
-                continue;
+        // Deal ready work to idle peers (dynamic work-stealing: the
+        // next free peer takes the next ready point, so a fleet of any
+        // changing size drains the same queue). A forked fleet with
+        // room spawns a peer for a ready point nobody idle can take —
+        // never for a point still waiting out its backoff. Forked
+        // peers start idle: the coordinator built their argv, so
+        // there is no identity to prove.
+        while (true) {
             const auto ready = std::find_if(
                 queue.begin(), queue.end(),
                 [&](const Attempt &a) { return a.readyAt <= now; });
             if (ready == queue.end())
                 break;
-            worker->attempt = *ready;
+            const auto idle = std::find_if(
+                peers.begin(), peers.end(),
+                [](const std::unique_ptr<Peer> &p) {
+                    return p->state == Peer::State::kIdle;
+                });
+            Peer *peer = nullptr;
+            if (idle != peers.end()) {
+                peer = idle->get();
+            } else if (workerCmd != nullptr && peers.size() < fleet) {
+                const bool respawn = spawned++ >= initial_fleet;
+                respawns += respawn ? 1 : 0;
+                int fd = -1;
+                const pid_t pid = spawnWorker(*workerCmd, respawn, fd);
+                peers.push_back(std::make_unique<Peer>(
+                    next_id++, pid, fd, Peer::State::kIdle, now));
+                peer = peers.back().get();
+            } else {
+                break;
+            }
+            peer->attempt = *ready;
             queue.erase(ready);
-            worker->state = NetWorker::State::kBusy;
-            worker->channel.send(
-                net::FrameType::kWire,
-                wire::encodePointLine(
-                    {worker->attempt.task.gridIndex,
-                     *worker->attempt.task.point}));
+            peer->state = Peer::State::kBusy;
+            peer->channel.send(net::FrameType::kWire,
+                               wire::encodePointLine(
+                                   {peer->attempt.task.gridIndex,
+                                    *peer->attempt.task.point}));
             if (options_.pointTimeoutSec > 0)
-                worker->deadline =
+                peer->deadline =
                     now + secondsDuration(options_.pointTimeoutSec);
         }
 
         // Heartbeats out; unresponsive idle peers and wedged busy
         // peers dropped.
-        for (std::size_t i = 0; i < workers.size();) {
-            NetWorker *worker = workers[i].get();
-            if (now - worker->lastPing >= heartbeat) {
-                worker->lastPing = now;
-                worker->channel.send(net::FrameType::kPing, "");
+        for (std::size_t i = 0; i < peers.size();) {
+            Peer *peer = peers[i].get();
+            if (now - peer->lastPing >= heartbeat) {
+                peer->lastPing = now;
+                peer->channel.send(net::FrameType::kPing, "");
             }
-            if (worker->state != NetWorker::State::kBusy &&
-                now - worker->lastHeard > idle_timeout) {
-                dropWorker(worker, "heartbeat timeout");
-                continue;  // dropWorker erased workers[i]
+            if (peer->state != Peer::State::kBusy &&
+                now - peer->lastHeard > idle_timeout) {
+                dropPeer(peer, "heartbeat timeout", false);
+                continue;  // dropPeer erased peers[i]
             }
-            if (worker->state == NetWorker::State::kBusy &&
-                options_.pointTimeoutSec > 0 &&
-                now >= worker->deadline) {
+            if (peer->state == Peer::State::kBusy &&
+                options_.pointTimeoutSec > 0 && now >= peer->deadline) {
                 ++watchdog_kills;
-                dropWorker(worker,
-                           csprintf("point exceeded "
-                                    "--point-timeout=%g s",
-                                    options_.pointTimeoutSec));
+                dropPeer(peer,
+                         csprintf("point exceeded --point-timeout=%g s",
+                                  options_.pointTimeoutSec),
+                         false);
                 continue;
             }
             ++i;
         }
 
-        if (workers.empty()) {
-            if (now - empty_since > join_grace) {
-                while (!queue.empty()) {
-                    const Attempt attempt = queue.front();
-                    queue.pop_front();
-                    ++quarantined;
-                    std::fprintf(
-                        stderr,
-                        "[sweep] quarantining point %zu after %u "
-                        "attempt(s): no connected workers\n",
-                        attempt.task.gridIndex, attempt.tries);
-                    deliver(attempt.task,
-                            ExperimentResult::quarantined(
-                                attempt.tries,
-                                "no connected workers"));
-                    --remaining;
-                }
-                continue;
-            }
-        } else {
+        if (listen_fd < 0 || !peers.empty()) {
             empty_since = now;
+        } else if (now - empty_since > join_grace) {
+            for (; !queue.empty(); queue.pop_front())
+                quarantine(queue.front(), "no connected workers");
         }
+        if (remaining == 0)
+            break;  // the last point was just quarantined
 
         // Wake at the nearest backoff expiry or watchdog deadline,
         // capped so the time-based sweeps above run at a bounded
         // cadence regardless.
-        int timeout_ms = 200;
+        long long timeout_ms = 200;
         auto wakeAt = [&](Clock::time_point when) {
-            const auto delta =
+            timeout_ms = std::clamp<long long>(
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     when - now)
-                    .count();
-            timeout_ms = std::min(
-                timeout_ms,
-                static_cast<int>(std::max<long long>(0, delta)));
+                    .count(),
+                0, timeout_ms);
         };
         for (const auto &attempt : queue)
             wakeAt(attempt.readyAt);
-        for (const auto &worker : workers)
-            if (worker->state == NetWorker::State::kBusy &&
+        for (const auto &peer : peers)
+            if (peer->state == Peer::State::kBusy &&
                 options_.pointTimeoutSec > 0)
-                wakeAt(worker->deadline);
+                wakeAt(peer->deadline);
 
         std::vector<pollfd> fds;
-        std::vector<std::uint64_t> owner;
-        fds.push_back({listen_fd, POLLIN, 0});
-        owner.push_back(0);
-        for (const auto &worker : workers) {
-            short events = POLLIN;
-            if (worker->channel.wantsWrite())
-                events |= POLLOUT;
-            fds.push_back({worker->channel.fd(), events, 0});
-            owner.push_back(worker->id);
+        std::vector<std::uint64_t> owner;  // peer id; 0: the listener
+        if (listen_fd >= 0) {
+            fds.push_back({listen_fd, POLLIN, 0});
+            owner.push_back(0);
         }
-        const int rc =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   timeout_ms);
+        for (const auto &peer : peers) {
+            short events = POLLIN;
+            if (peer->channel.wantsWrite())
+                events |= POLLOUT;
+            fds.push_back({peer->channel.fd(), events, 0});
+            owner.push_back(peer->id);
+        }
+        const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                              static_cast<int>(timeout_ms));
         if (rc < 0 && errno != EINTR)
             fatal("poll: %s", std::strerror(errno));
         if (rc <= 0)
             continue;
 
-        auto findWorker = [&](std::uint64_t id) -> NetWorker * {
-            for (auto &worker : workers)
-                if (worker->id == id)
-                    return worker.get();
-            return nullptr;
-        };
-
-        for (std::size_t i = 1; i < fds.size(); ++i) {
-            if (fds[i].revents == 0)
+        for (std::size_t i = 0; i < fds.size(); ++i) {
+            if (fds[i].revents == 0 || owner[i] == 0)
                 continue;
-            // The member may have been dropped while handling an
-            // earlier fd this round.
-            NetWorker *worker = findWorker(owner[i]);
-            if (worker == nullptr)
+            // The peer may have been dropped while handling an earlier
+            // fd this round.
+            const auto found = std::find_if(
+                peers.begin(), peers.end(),
+                [&](const std::unique_ptr<Peer> &p) {
+                    return p->id == owner[i];
+                });
+            if (found == peers.end())
                 continue;
+            Peer *peer = found->get();
             std::vector<net::Frame> frames;
             std::string error;
-            const auto io = worker->channel.readFrames(frames, error);
+            const auto io = peer->channel.readFrames(frames, error);
             // Complete frames that arrived ahead of a close still
             // count (a result racing its sender's crash lands).
             bool alive = true;
             for (const auto &frame : frames)
-                if (!(alive = handleFrame(worker, frame)))
+                if (!(alive = handleFrame(peer, frame)))
                     break;
             if (!alive)
                 continue;
-            if (io == net::FrameChannel::Io::kClosed) {
-                dropWorker(worker, error);
-                continue;
-            }
-            if (worker->channel.flushWrites(error) ==
-                net::FrameChannel::Io::kClosed)
-                dropWorker(worker, error);
+            if (io == net::FrameChannel::Io::kClosed ||
+                peer->channel.flushWrites(error) ==
+                    net::FrameChannel::Io::kClosed)
+                dropPeer(peer, error, true);
         }
     }
 
-    // Sweep complete: tell every member to exit cleanly, with a short
-    // best-effort flush (a stuck peer must not wedge the
-    // coordinator's own exit).
-    for (auto &worker : workers)
-        worker->channel.send(net::FrameType::kShutdown, "");
+    // Sweep complete: tell every peer to exit cleanly, with a short
+    // best-effort flush (a stuck peer must not wedge the coordinator's
+    // own exit), then close every stream and reap every forked child
+    // — an unreaped worker would drop out of RUSAGE_CHILDREN.
+    for (auto &peer : peers)
+        peer->channel.send(net::FrameType::kShutdown, "");
     const auto flush_deadline = Clock::now() + std::chrono::seconds(2);
     while (Clock::now() < flush_deadline) {
         bool pending = false;
-        for (auto &worker : workers) {
+        for (auto &peer : peers) {
             std::string error;
-            if (worker->channel.isOpen() &&
-                worker->channel.flushWrites(error) ==
+            if (peer->channel.isOpen() &&
+                peer->channel.flushWrites(error) ==
                     net::FrameChannel::Io::kOk &&
-                worker->channel.wantsWrite())
+                peer->channel.wantsWrite())
                 pending = true;
         }
         if (!pending)
             break;
         ::poll(nullptr, 0, 10);
     }
-    workers.clear();
-    ::close(listen_fd);
+    for (auto &peer : peers) {
+        peer->channel.close();
+        if (peer->pid > 0)
+            reap(peer->pid);
+    }
+    peers.clear();
+    if (listen_fd >= 0)
+        ::close(listen_fd);
 
     stats.set("sweep.retries", retries);
-    stats.set("sweep.workerCrashes", losses);
+    // Crashes: busy peers lost to anything but the watchdog.
+    stats.set("sweep.workerCrashes", busy_drops - watchdog_kills);
     stats.set("sweep.watchdogKills", watchdog_kills);
     stats.set("sweep.quarantined", quarantined);
-    stats.set("sweep.netJoins", joins);
-    stats.set("sweep.netLeaves", leaves);
+    if (net != nullptr) {
+        stats.set("sweep.netJoins", joins);
+        stats.set("sweep.netLeaves", leaves);
+    } else {
+        stats.set("sweep.respawns", respawns);
+    }
 }
 
 // --- Journal ---
-
-Journal::~Journal()
-{
-    close();
-}
 
 void
 Journal::open(const std::string &path, bool resume,
@@ -885,41 +552,11 @@ Journal::open(const std::string &path, bool resume,
               std::uint64_t shard_count,
               const std::vector<GridPoint> &grid)
 {
-    ACR_ASSERT(fd_ < 0, "journal already open");
-    path_ = path;
     const std::uint64_t expect_hash = wire::gridHash(grid);
-
-    std::vector<std::string> lines;
-    // Byte offset one past each parsed line's newline; used to chop
-    // dropped tail bytes off the file so a resumed append never glues
-    // onto a torn partial record.
-    std::vector<std::size_t> line_ends;
-    std::size_t durable_bytes = 0;
-    if (resume) {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::string content(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            std::size_t start = 0;
-            while (start < content.size()) {
-                const std::size_t newline =
-                    content.find('\n', start);
-                if (newline == std::string::npos) {
-                    // Torn tail: the coordinator died mid-append;
-                    // that point simply reruns.
-                    warn("journal '%s': dropping torn final line",
-                         path.c_str());
-                    break;
-                }
-                lines.push_back(
-                    content.substr(start, newline - start));
-                start = newline + 1;
-                line_ends.push_back(start);
-            }
-            durable_bytes = line_ends.empty() ? 0 : line_ends.back();
-        }
-    }
+    // A torn final line (the coordinator died mid-append) is dropped
+    // by the load; that point simply reruns.
+    const std::vector<std::string> lines =
+        resume ? log_.load(path) : std::vector<std::string>{};
 
     if (!lines.empty()) {
         // Validate the header against the grid this invocation is
@@ -959,6 +596,7 @@ Journal::open(const std::string &path, bool resume,
                       manifest.gridPoints),
                   grid.size());
 
+        std::size_t keep = lines.size();
         for (std::size_t i = 1; i < lines.size(); ++i) {
             wire::Record record;
             try {
@@ -971,7 +609,7 @@ Journal::open(const std::string &path, bool resume,
                     warn("journal '%s': dropping unreadable final "
                          "record: %s",
                          path.c_str(), error.what());
-                    durable_bytes = line_ends[i - 1];
+                    keep = i;
                     break;
                 }
                 fatal("journal '%s' record %zu is corrupt: %s",
@@ -995,47 +633,28 @@ Journal::open(const std::string &path, bool resume,
             }
         }
 
-        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-        if (fd_ < 0)
-            fatal("cannot reopen journal '%s': %s", path.c_str(),
-                  std::strerror(errno));
-        // Chop any dropped tail bytes so the next append starts on a
-        // clean line boundary instead of extending the torn remnant.
-        while (::ftruncate(fd_, static_cast<off_t>(durable_bytes)) <
-               0) {
-            if (errno != EINTR)
-                fatal("truncate journal '%s': %s", path.c_str(),
-                      std::strerror(errno));
-        }
+        // Chop any dropped tail so the next append starts on a clean
+        // line boundary instead of extending the torn remnant.
+        log_.resume(keep);
         return;
     }
 
     // Fresh journal (no --resume, missing file, or nothing durable in
     // it): truncate and write the identifying header.
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0)
-        fatal("cannot create journal '%s': %s", path.c_str(),
-              std::strerror(errno));
     wire::ManifestRecord manifest;
     manifest.bench = bench;
     manifest.shard = shard_index;
     manifest.shardCount = shard_count;
     manifest.gridPoints = grid.size();
     manifest.gridHash = expect_hash;
-    writeAllFd(fd_, wire::encodeManifestLine(manifest) + "\n",
-               "journal");
-    while (::fsync(fd_) < 0) {
-        if (errno != EINTR)
-            fatal("fsync journal '%s': %s", path.c_str(),
-                  std::strerror(errno));
-    }
+    log_.create(path, wire::encodeManifestLine(manifest));
 }
 
 void
 Journal::failNextWriteForTest()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    failNextWrite_ = true;
+    log_.failNextWriteForTest();
 }
 
 void
@@ -1043,64 +662,21 @@ Journal::record(std::size_t gridIndex, const ExperimentResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ACR_ASSERT(isOpen(), "journal not open");
-    if (fd_ < 0)
-        return;  // degraded: the sweep outlives its journal
-    const std::string line =
-        (result.failed
-             ? wire::encodeFailedLine({gridIndex, result.attempts,
-                                       result.failReason})
-             : wire::encodeResultLine({gridIndex, result})) +
-        "\n";
-
-    // An append that hits ENOSPC/EIO (or a failed fsync) must degrade
-    // — one warning, journaling off, the sweep keeps running — never
-    // take down a multi-hour run over its completion log.
-    int error = 0;
-    if (failNextWrite_) {
-        // Injected failure: behave exactly as if write(2) returned
-        // ENOSPC, so tests drive the same degrade the real disk would.
-        failNextWrite_ = false;
-        error = ENOSPC;
-    } else {
-        std::size_t off = 0;
-        while (off < line.size()) {
-            const ssize_t n = ::write(fd_, line.data() + off,
-                                      line.size() - off);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                error = errno;
-                break;
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        while (error == 0 && ::fsync(fd_) < 0) {
-            if (errno != EINTR) {
-                error = errno;
-                break;
-            }
-        }
-    }
-    if (error != 0) {
-        warn("journal '%s': append failed (%s); journaling disabled — "
-             "the sweep continues but cannot resume past this point",
-             path_.c_str(), std::strerror(error));
-        ::close(fd_);
-        fd_ = -1;
-        degraded_ = true;
-        return;
-    }
-    ++appended_;
+    // An append that hits ENOSPC/EIO (or a failed fsync) degrades the
+    // log — one warning, journaling off, the sweep keeps running —
+    // never takes down a multi-hour run over its completion log.
+    if (log_.append(result.failed
+                        ? wire::encodeFailedLine({gridIndex,
+                                                  result.attempts,
+                                                  result.failReason})
+                        : wire::encodeResultLine({gridIndex, result})))
+        ++appended_;
 }
 
 void
 Journal::close()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    degraded_ = false;
+    log_.close();
 }
 
 } // namespace acr::harness

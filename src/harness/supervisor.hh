@@ -2,15 +2,15 @@
  * @file
  * Fault-tolerant execution layer under harness::ShardedSweep — the
  * paper's checkpoint/recovery discipline applied to the harness's own
- * long-running sweeps (DESIGN.md §10). Two pieces:
+ * long-running sweeps (DESIGN.md §10, §15). Two pieces:
  *
- * `Supervisor` drives a fleet of forked `--worker` processes through a
- * single-threaded poll() event loop: nonblocking wire I/O, crash
- * detection via waitpid(WNOHANG) + pipe EOF, an optional per-point
- * wall-clock watchdog that SIGKILLs a wedged child, and automatic
- * respawn of replacement workers. A failed point is retried on a fresh
- * worker with jittered exponential backoff; a point that exhausts its
- * retries is *quarantined* — delivered as an
+ * `Supervisor` is the one coordinator loop behind both process-boundary
+ * executors: a single-threaded poll() over net::FrameChannel peers —
+ * forked `--worker` children on socketpairs, or `--connect` workers
+ * over TCP — dealt one point at a time. Silent idle peers and (with a
+ * watchdog) wedged busy ones are dropped, and a lost busy peer's point
+ * is retried with jittered exponential backoff. A point that exhausts
+ * its retries is *quarantined* — delivered as an
  * `ExperimentResult::quarantined` placeholder (a `failed` wire record
  * downstream) so the sweep completes around it instead of aborting.
  *
@@ -38,20 +38,21 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "harness/append_log.hh"
 #include "harness/net.hh"
 #include "harness/wire.hh"
 
 namespace acr::harness
 {
 
-/** Forked- and TCP-worker supervision: retry/backoff/watchdog/
- *  quarantine over an elastic fleet. */
+/** Retry/backoff/watchdog/quarantine over an elastic fleet of forked
+ *  or TCP workers. */
 class Supervisor
 {
   public:
     struct Options
     {
-        /** Target live worker processes (clamped to the task count). */
+        /** Forked peers alive at once (clamped to the task count). */
         unsigned workers = 1;
 
         /** Retries after a point's first failed attempt; a point that
@@ -59,34 +60,31 @@ class Supervisor
         unsigned retries = 2;
 
         /** Per-point wall-clock watchdog in seconds; a worker that
-         *  holds a point longer is SIGKILLed and the point retried.
-         *  0 disables the watchdog. */
+         *  holds a point longer is dropped (a forked one SIGKILLed)
+         *  and the point retried. 0 disables the watchdog. */
         double pointTimeoutSec = 0.0;
 
-        /** First retry delay; doubles per subsequent attempt. */
-        double backoffBaseSec = 0.05;
-
-        /** Backoff growth cap. */
-        double backoffCapSec = 2.0;
-
-        /** Seed for the backoff jitter (timing only — results are
-         *  unaffected). */
-        std::uint64_t jitterSeed = 0x5eed;
+        /** Keepalive ping cadence in seconds. Idle peers time out
+         *  after four missed heartbeats; an empty TCP fleet with
+         *  queued work is given eight for a (re)join before every
+         *  queued point is quarantined — the sweep degrades to FAILED
+         *  cells, it never hangs. */
+        unsigned heartbeatSec = 5;
     };
 
+    /** First retry delay in seconds; doubles per further attempt. */
+    static constexpr double kBackoffBaseSec = 0.05;
+
+    /** Backoff growth cap in seconds. */
+    static constexpr double kBackoffCapSec = 2.0;
+
     /**
-     * Distributed-mode knobs (runListen): where to accept TCP workers
-     * and the identity their handshake must match (DESIGN.md §15).
-     * The heartbeat paces keepalive pings; idle peers time out after
-     * four missed heartbeats, and an empty fleet with queued work is
-     * given eight heartbeats for a (re)join before every queued point
-     * is quarantined — the sweep degrades to FAILED cells, it never
-     * hangs.
+     * TCP fleet (DESIGN.md §15): where to accept `--connect` workers
+     * and the identity their handshake must match.
      */
     struct NetOptions
     {
-        net::Endpoint listen;       ///< port 0: kernel-picked
-        unsigned heartbeatSec = 5;  ///< keepalive ping cadence
+        net::Endpoint listen;  ///< port 0: kernel-picked
 
         /** Handshake identity: a worker whose hello disagrees on any
          *  of these (or on net::kProtocolVersion) is rejected. */
@@ -111,48 +109,51 @@ class Supervisor
     using Deliver =
         std::function<void(const Task &, ExperimentResult)>;
 
-    /** @param workerCmd argv of a `--worker` invocation of this very
-     *  binary (see ShardedSweep::selfExecutable). */
-    Supervisor(std::vector<std::string> workerCmd, Options options);
-
-    /** Distributed mode: no worker command — the fleet dials in
-     *  (runListen only; run() requires the forked-worker ctor). */
-    explicit Supervisor(Options options);
+    explicit Supervisor(Options options) : options_(options) {}
 
     /**
-     * Run every task to completion (success or quarantine). Writes
-     * supervision counters into @p stats: sweep.respawns,
-     * sweep.retries, sweep.workerCrashes, sweep.watchdogKills,
+     * Forked fleet: run every task to completion (success or
+     * quarantine) on up to Options::workers children running
+     * @p workerCmd — argv of a `--worker` invocation of this very
+     * binary (see ShardedSweep::selfExecutable). A child is forked
+     * only when a ready point can be dealt to it, and every close of
+     * one is SIGKILL plus a blocking waitpid on its pid: its exit
+     * status names the failure and no child outlives the sweep.
+     * Counters in @p stats: sweep.respawns, sweep.retries,
+     * sweep.workerCrashes (busy peers lost), sweep.watchdogKills,
      * sweep.quarantined.
      */
-    void run(const std::vector<Task> &tasks, const Deliver &deliver,
-             StatSet &stats);
+    void run(const std::vector<Task> &tasks,
+             const std::vector<std::string> &workerCmd,
+             const Deliver &deliver, StatSet &stats);
 
     /**
-     * Distributed mode (DESIGN.md §15): accept `--connect` workers on
-     * @p net.listen (the actual bound endpoint — port 0 resolved — is
-     * announced as "[net] listening on HOST:PORT" on stderr), deal
-     * points one at a time to idle handshaken members, and run every
-     * task to completion (success or quarantine). Membership is
-     * elastic: workers may join late, leave idle, crash busy, or
-     * reconnect; a lost busy worker's point re-enters the same
-     * retry/backoff/quarantine ladder as a crashed forked worker.
-     * Counters in @p stats: sweep.retries, sweep.workerCrashes (busy
-     * connection losses), sweep.watchdogKills, sweep.quarantined,
-     * sweep.netJoins, sweep.netLeaves.
+     * TCP fleet: accept `--connect` workers on @p net.listen (the
+     * bound endpoint — port 0 resolved — is announced as
+     * "[net] listening on HOST:PORT" on stderr) and run every task to
+     * completion. Membership is elastic: workers may join late, leave
+     * idle, crash busy, or reconnect. Counters in @p stats:
+     * sweep.retries, sweep.workerCrashes (busy connections lost),
+     * sweep.watchdogKills, sweep.quarantined, sweep.netJoins,
+     * sweep.netLeaves.
      */
-    void runListen(const std::vector<Task> &tasks,
-                   const NetOptions &net, const Deliver &deliver,
-                   StatSet &stats);
+    void run(const std::vector<Task> &tasks, const NetOptions &net,
+             const Deliver &deliver, StatSet &stats);
 
     /** Backoff before attempt @p tries+1 of @p gridIndex, in seconds:
-     *  capped exponential with deterministic jitter in [0.5, 1.5)x.
+     *  kBackoffBaseSec doubling per attempt, capped at
+     *  kBackoffCapSec, with deterministic jitter in [0.5, 1.5)x.
      *  Exposed for tests. */
-    static double backoffSeconds(const Options &options, unsigned tries,
-                                 std::size_t gridIndex);
+    static double backoffSeconds(unsigned tries, std::size_t gridIndex);
 
   private:
-    std::vector<std::string> workerCmd_;
+    /** The one coordinator loop behind both run() overloads; exactly
+     *  one of @p workerCmd and @p net is non-null. */
+    void supervise(const std::vector<Task> &tasks,
+                   const std::vector<std::string> *workerCmd,
+                   const NetOptions *net, const Deliver &deliver,
+                   StatSet &stats);
+
     Options options_;
 };
 
@@ -164,12 +165,6 @@ class Supervisor
 class Journal
 {
   public:
-    Journal() = default;
-    ~Journal();
-
-    Journal(const Journal &) = delete;
-    Journal &operator=(const Journal &) = delete;
-
     /**
      * Open @p path for the sweep @p bench is about to run over
      * @p grid (shard @p shard of it). With @p resume, an existing
@@ -194,10 +189,10 @@ class Journal
 
     /** True after open() — including after a write-failure degrade
      *  (loaded entries are still served; only appends stopped). */
-    bool isOpen() const { return fd_ >= 0 || degraded_; }
+    bool isOpen() const { return log_.isOpen(); }
 
     /** The backing file was disabled by a failed append/fsync. */
-    bool degraded() const { return degraded_; }
+    bool degraded() const { return log_.degraded(); }
 
     /** Test hook: make the next append fail as if the disk were full
      *  (exercises the ENOSPC degrade path without a full disk). */
@@ -220,10 +215,9 @@ class Journal
 
   private:
     std::mutex mutex_;
-    std::string path_;
-    int fd_ = -1;
-    bool degraded_ = false;
-    bool failNextWrite_ = false;
+    AppendLog log_{"journal", "journaling disabled — the sweep "
+                              "continues but cannot resume past this "
+                              "point"};
     std::uint64_t appended_ = 0;
     std::map<std::size_t, ExperimentResult> entries_;
 };

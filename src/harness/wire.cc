@@ -360,6 +360,16 @@ encodeFailedLine(const FailedRecord &record)
 }
 
 std::string
+HelloRecord::describe() const
+{
+    return csprintf("bench '%s', %llu point(s), grid %016llx, net v%llu",
+                    bench.c_str(),
+                    static_cast<unsigned long long>(gridPoints),
+                    static_cast<unsigned long long>(gridHash),
+                    static_cast<unsigned long long>(netVersion));
+}
+
+std::string
 encodeHelloLine(const HelloRecord &record)
 {
     Json json = envelope("hello");

@@ -137,6 +137,12 @@ struct HelloRecord
     std::uint64_t gridPoints = 0;
     std::uint64_t gridHash = 0;
     std::uint64_t netVersion = 0;
+
+    bool operator==(const HelloRecord &) const = default;
+
+    /** "bench 'B', N point(s), grid HASH, net vV", for mismatch
+     *  reports. */
+    std::string describe() const;
 };
 
 std::string encodePointLine(const PointRecord &record);

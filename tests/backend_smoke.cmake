@@ -1,6 +1,6 @@
 # End-to-end check of the pluggable checkpoint-store backends
-# (DESIGN.md §14), run as a ctest and mirrored by the CI backend-smoke
-# job. Against the fig_backend bench (-DBENCH=...) and a workload
+# (DESIGN.md §14), run as a ctest (backend_smoke, in the CI release
+# leg). Against the fig_backend bench (-DBENCH=...) and a workload
 # subset (-DWORKLOADS=...), it verifies:
 #
 #   * the backend × workload × error grid runs clean — the recovery

@@ -1,5 +1,5 @@
 # End-to-end check of the content-addressed result cache (DESIGN.md
-# §11), run as a ctest and mirrored by the CI cache-fanout job. Against
+# §11), run as a ctest (cache_smoke_*, in the CI release leg). Against
 # a bench binary (-DBENCH=...), a second bench enumerating the same
 # grid (-DBENCH2=...), and a workload subset (-DWORKLOADS=...), it
 # verifies the --cache contract:

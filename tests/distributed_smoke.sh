@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end check of the distributed sweep fabric (DESIGN.md §15),
-# run as a ctest and mirrored by the CI distributed-smoke job. Against
+# run as a ctest (distributed_smoke, in the CI release leg). Against
 # a bench binary and the torture bench, it drives a loopback
 # --listen coordinator with real --connect worker processes and
 # verifies the BenchMain determinism contract under transport chaos:

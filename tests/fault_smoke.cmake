@@ -1,5 +1,5 @@
 # End-to-end fault-tolerance check for the sweep supervisor, run as a
-# ctest (and mirrored by the CI fault-tolerance-smoke job). Against a
+# ctest (fault_smoke_*, in the CI release leg). Against a
 # bench binary (-DBENCH=...) and workload subset (-DWORKLOADS=...), it
 # injects worker crashes, wedges, and coordinator kills through the
 # ACR_TEST_* hooks and verifies the BenchMain fault-tolerance contract:

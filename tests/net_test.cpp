@@ -3,7 +3,7 @@
  * Transport-layer tests (DESIGN.md §15): strict HOST:PORT and
  * ACR_NET_FAULT parsing, frame round trips and the garbled-header
  * guard, fault injection on a socketpair, the hello handshake record,
- * and Supervisor::runListen driven by fake in-process TCP workers —
+ * and the Supervisor's TCP fleet driven by fake in-process workers —
  * deaths between and inside frames, mid-point deaths, handshake
  * rejection, and the empty-fleet join-grace quarantine. The full
  * kill/partition/garble campaign against real worker processes lives
@@ -313,9 +313,9 @@ TEST(NetHello, RoundTripsThroughTheWire)
     EXPECT_EQ(record.hello.netVersion, hello.netVersion);
 }
 
-// --- Supervisor::runListen against fake in-process workers ---
+// --- The Supervisor's TCP fleet against fake in-process workers ---
 
-/** Deliveries recorded from runListen's callback. */
+/** Deliveries recorded from the Supervisor's callback. */
 struct Deliveries
 {
     std::mutex mutex;
@@ -402,7 +402,6 @@ coordinatorOptions(const std::vector<GridPoint> &grid,
 {
     Supervisor::NetOptions net_options;
     net_options.listen = {"127.0.0.1", port};
-    net_options.heartbeatSec = 1;
     net_options.bench = "net_test";
     net_options.gridPoints = grid.size();
     net_options.gridHash = wire::gridHash(grid);
@@ -460,14 +459,14 @@ TEST(RunListen, ElasticFleetSurvivesDeathsBetweenAndInsideFrames)
 
     Supervisor::Options options;
     options.retries = 2;
-    options.backoffBaseSec = 0.01;
+    options.heartbeatSec = 1;
     Supervisor supervisor(options);
 
     Deliveries delivered;
     StatSet stats;
     std::thread coordinator([&] {
-        supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                             delivered.sink(), stats);
+        supervisor.run(tasks, coordinatorOptions(grid, port),
+                       delivered.sink(), stats);
     });
 
     // A connection that dies inside a frame — half a hello, then an
@@ -514,13 +513,14 @@ TEST(RunListen, HandshakeMismatchIsRejected)
 
     Supervisor::Options options;
     options.retries = 0;
+    options.heartbeatSec = 1;
     Supervisor supervisor(options);
 
     Deliveries delivered;
     StatSet stats;
     std::thread coordinator([&] {
-        supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                             delivered.sink(), stats);
+        supervisor.run(tasks, coordinatorOptions(grid, port),
+                       delivered.sink(), stats);
     });
 
     // A worker offering a skewed grid hash: rejected at handshake,
@@ -564,15 +564,16 @@ TEST(RunListen, EmptyFleetQuarantinesInsteadOfHanging)
 
     Supervisor::Options options;
     options.retries = 2;
+    options.heartbeatSec = 1;
     Supervisor supervisor(options);
 
     Deliveries delivered;
     StatSet stats;
     // Nobody ever connects: once the join grace (8 heartbeats)
-    // expires, the queued point is quarantined and runListen returns —
-    // the sweep degrades to a FAILED cell, it does not hang.
-    supervisor.runListen(tasks, coordinatorOptions(grid, port),
-                         delivered.sink(), stats);
+    // expires, the queued point is quarantined and the coordinator
+    // returns — the sweep degrades to a FAILED cell, it does not hang.
+    supervisor.run(tasks, coordinatorOptions(grid, port),
+                   delivered.sink(), stats);
 
     ASSERT_EQ(delivered.list.size(), 1u);
     EXPECT_TRUE(delivered.list[0].second.failed);

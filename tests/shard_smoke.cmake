@@ -1,5 +1,5 @@
-# End-to-end sharding determinism check, run as a ctest (and mirrored
-# by the CI sharded-smoke job). Given a bench binary (-DBENCH=...) and
+# End-to-end sharding determinism check, run as a ctest (shard_smoke_*,
+# in the CI release leg). Given a bench binary (-DBENCH=...) and
 # a workload subset (-DWORKLOADS=...), verifies the BenchMain
 # determinism contract: the rendered stdout of
 #

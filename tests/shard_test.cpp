@@ -4,8 +4,8 @@
  * "i/N" parsing is strict, the ordered sink fires in ascending grid
  * order even under parallel execution, shards executed in separate
  * pools merge to exactly the unsharded results (the wire encodings are
- * compared byte-for-byte), and the --worker loop speaks the wire
- * protocol over plain streams.
+ * compared byte-for-byte), and the --worker loop speaks net frames
+ * over plain streams.
  *
  * SweepDeterminism locks the in-process executor itself: fanning a
  * sweep out across threads must be observationally invisible. An
@@ -23,6 +23,7 @@
 #include <sstream>
 #include <vector>
 
+#include "harness/net.hh"
 #include "harness/sharded_sweep.hh"
 #include "harness/wire.hh"
 
@@ -291,6 +292,38 @@ TEST(SweepDeterminism, EmptySweepAndDefaultJobs)
     EXPECT_EQ(ShardedSweep(pool).jobs(), ShardedSweep::defaultJobs());
 }
 
+/** Run the --worker loop over @p input; its output lands in @p reply. */
+int
+runWorker(RunnerPool &pool, const std::string &input, std::string &reply)
+{
+    std::istringstream in(input);
+    std::ostringstream out;
+    const int status = ShardedSweep::workerLoop(pool, in, out);
+    reply = out.str();
+    return status;
+}
+
+/** Split a worker's output into its frames. */
+std::vector<net::Frame>
+splitFrames(const std::string &bytes)
+{
+    std::vector<net::Frame> frames;
+    std::size_t off = 0;
+    while (off + net::kFrameHeaderBytes <= bytes.size()) {
+        net::Frame frame;
+        std::uint32_t length = 0;
+        std::string error;
+        EXPECT_TRUE(net::decodeFrameHeader(bytes.data() + off, length,
+                                           frame.type, error))
+            << error;
+        frame.payload = bytes.substr(off + net::kFrameHeaderBytes, length);
+        off += net::kFrameHeaderBytes + length;
+        frames.push_back(std::move(frame));
+    }
+    EXPECT_EQ(off, bytes.size()) << "trailing partial frame";
+    return frames;
+}
+
 TEST(WorkerLoop, SpeaksTheWireProtocol)
 {
     const auto grid = smallGrid();
@@ -299,24 +332,22 @@ TEST(WorkerLoop, SpeaksTheWireProtocol)
     const auto reference =
         encodeAll(ShardedSweep(reference_pool, 1).run(grid));
 
-    // Feed the points out of order to prove the worker echoes indices
-    // rather than renumbering.
-    std::ostringstream request;
+    // Deal the points out of order to prove the worker echoes indices
+    // rather than renumbering; the stream then ends (EOF: exit 0).
+    std::string request;
     for (std::size_t index : {2UL, 0UL, 4UL})
-        request << wire::encodePointLine(
-                       {index, grid[index]})
-                << "\n";
+        request += net::encodeFrame(
+            net::FrameType::kWire,
+            wire::encodePointLine({index, grid[index]}));
 
     RunnerPool worker_pool;
-    std::istringstream in(request.str());
-    std::ostringstream out;
-    EXPECT_EQ(ShardedSweep::workerLoop(worker_pool, in, out), 0);
+    std::string reply;
+    EXPECT_EQ(runWorker(worker_pool, request, reply), 0);
 
-    std::istringstream lines(out.str());
-    std::string line;
     std::vector<std::uint64_t> indices;
-    while (std::getline(lines, line)) {
-        const auto record = wire::decodeLine(line);
+    for (const auto &frame : splitFrames(reply)) {
+        ASSERT_EQ(frame.type, net::FrameType::kWire);
+        const auto record = wire::decodeLine(frame.payload);
         ASSERT_EQ(record.type, wire::Record::Type::kResult);
         indices.push_back(record.result.index);
         EXPECT_EQ(wire::encodeResult(record.result.result).dump(),
@@ -325,16 +356,58 @@ TEST(WorkerLoop, SpeaksTheWireProtocol)
     EXPECT_EQ(indices, (std::vector<std::uint64_t>{2, 0, 4}));
 }
 
+TEST(WorkerLoop, AnswersPingsAndEndsOnShutdownOrEof)
+{
+    RunnerPool pool;
+    std::string reply;
+
+    // A ping gets a pong; a shutdown exits 0 without reading further.
+    EXPECT_EQ(runWorker(pool,
+                        net::encodeFrame(net::FrameType::kPing, "") +
+                            net::encodeFrame(net::FrameType::kShutdown,
+                                             "") +
+                            "not even a frame",
+                        reply),
+              0);
+    const auto frames = splitFrames(reply);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].type, net::FrameType::kPong);
+    EXPECT_TRUE(frames[0].payload.empty());
+
+    // EOF between frames — the coordinator closed the stream — is a
+    // clean end too.
+    EXPECT_EQ(runWorker(pool, "", reply), 0);
+    EXPECT_TRUE(reply.empty());
+}
+
 TEST(WorkerLoop, RejectsGarbageWithNonzeroStatus)
 {
     RunnerPool pool;
-    std::istringstream in("{\"v\":2,\"type\":\"result\"}\n");
-    std::ostringstream out;
-    EXPECT_NE(ShardedSweep::workerLoop(pool, in, out), 0);
+    std::string reply;
 
-    std::istringstream garbage("not a record\n");
-    std::ostringstream out2;
-    EXPECT_NE(ShardedSweep::workerLoop(pool, garbage, out2), 0);
+    // Well-framed payloads that are not point records.
+    EXPECT_NE(runWorker(pool,
+                        net::encodeFrame(net::FrameType::kWire,
+                                         "{\"v\":2,\"type\":\"result\"}"),
+                        reply),
+              0);
+    EXPECT_NE(runWorker(pool,
+                        net::encodeFrame(net::FrameType::kWire,
+                                         "not a record"),
+                        reply),
+              0);
+
+    // An unknown frame type.
+    std::string unknown = net::encodeFrame(net::FrameType::kPing, "");
+    unknown[4] = 9;
+    EXPECT_NE(runWorker(pool, unknown, reply), 0);
+
+    // A length header past kMaxFramePayload: a garbled stream,
+    // rejected before any allocation.
+    std::string oversized = net::encodeFrame(net::FrameType::kWire, "");
+    oversized.replace(0, 4, "\xff\xff\xff\xff");
+    EXPECT_NE(runWorker(pool, oversized, reply), 0);
+    EXPECT_TRUE(reply.empty());
 }
 
 } // namespace

@@ -1,5 +1,5 @@
-# Storage-fault smoke, run as a ctest (and mirrored by the CI
-# storage-smoke job). Drives the torture bench with checkpoint-medium
+# Storage-fault smoke, run as a ctest (storage_smoke, in the CI
+# release leg). Drives the torture bench with checkpoint-medium
 # fault injection armed (DESIGN.md §16) and checks the three
 # properties the escalation ladder promises:
 #

@@ -1,18 +1,21 @@
 /**
  * @file
  * Fault-tolerance layer tests (DESIGN.md §10): backoff determinism,
- * the quarantine placeholder and its FAILED-cell rendering, the
- * `failed` wire record, and the crash-safe Journal — fresh/reload
- * round trips, torn-tail tolerance, failed-record rerun semantics,
- * and grid validation. The end-to-end crash/respawn/resume behavior
- * of the Supervisor itself is exercised against real forked workers
- * by tests/fault_smoke.cmake.
+ * the forked fleet against stand-in workers that crash at startup or
+ * wedge (one process per attempt, every child reaped), the quarantine
+ * placeholder and its FAILED-cell rendering, the `failed` wire
+ * record, and the crash-safe Journal — fresh/reload round trips,
+ * torn-tail tolerance, failed-record rerun semantics, and grid
+ * validation. The end-to-end crash/respawn/resume behavior against
+ * real bench workers is exercised by tests/fault_smoke.cmake.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "common/table.hh"
+#include "harness/sharded_sweep.hh"
 #include "harness/supervisor.hh"
 
 namespace
@@ -71,30 +75,91 @@ journalPath(const std::string &tag)
 
 TEST(Backoff, DeterministicJitteredAndCapped)
 {
-    Supervisor::Options options;
-    options.backoffBaseSec = 0.1;
-    options.backoffCapSec = 1.0;
-
     // Same (tries, gridIndex) always yields the same delay.
-    EXPECT_EQ(Supervisor::backoffSeconds(options, 1, 3),
-              Supervisor::backoffSeconds(options, 1, 3));
+    EXPECT_EQ(Supervisor::backoffSeconds(1, 3),
+              Supervisor::backoffSeconds(1, 3));
 
     // Jitter stays within [0.5, 1.5)x of the capped exponential.
     for (unsigned tries = 1; tries <= 8; ++tries) {
         for (std::size_t index = 0; index < 16; ++index) {
-            const double base = std::min(
-                options.backoffCapSec,
-                options.backoffBaseSec * std::ldexp(1.0, tries - 1));
-            const double delay =
-                Supervisor::backoffSeconds(options, tries, index);
+            const double base =
+                std::min(Supervisor::kBackoffCapSec,
+                         Supervisor::kBackoffBaseSec *
+                             std::ldexp(1.0, tries - 1));
+            const double delay = Supervisor::backoffSeconds(tries, index);
             EXPECT_GE(delay, 0.5 * base);
             EXPECT_LT(delay, 1.5 * base);
         }
     }
 
     // Deep retry counts saturate at the cap instead of overflowing.
-    EXPECT_LT(Supervisor::backoffSeconds(options, 64, 0),
-              1.5 * options.backoffCapSec);
+    EXPECT_LT(Supervisor::backoffSeconds(64, 0),
+              1.5 * Supervisor::kBackoffCapSec);
+}
+
+/** The first two tinyGrid() points, forked to @p workerCmd stand-ins
+ *  under @p controls. */
+std::vector<ExperimentResult>
+runStandIns(const std::vector<std::string> &workerCmd,
+            const ShardedSweep::SweepControls &controls,
+            StatSet &hostStats)
+{
+    auto points = tinyGrid();
+    points.pop_back();
+    RunnerPool pool;
+    ShardedSweep sweep(pool, 1);
+    auto results = sweep.runForked(points, 2, workerCmd, {}, controls);
+    hostStats = sweep.hostStats();
+    return results;
+}
+
+TEST(ForkedFleet, StartupCrashCostsOneProcessPerAttempt)
+{
+    // Every worker dies before reading its point. A replacement is
+    // forked only once a retried point is ready to be dealt to it, so
+    // two points x two attempts cost four processes (two of them
+    // respawns), and each reason is the reaped exit status.
+    ShardedSweep::SweepControls controls;
+    controls.supervise.retries = 1;
+    StatSet stats;
+    const auto results =
+        runStandIns({"/bin/sh", "-c", "exit 42"}, controls, stats);
+
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto &result : results) {
+        EXPECT_TRUE(result.failed);
+        EXPECT_EQ(result.attempts, 2u);
+        EXPECT_NE(result.failReason.find("exited with status 42"),
+                  std::string::npos)
+            << result.failReason;
+    }
+    EXPECT_EQ(stats.get("sweep.respawns"), 2.0);
+    EXPECT_EQ(stats.get("sweep.quarantined"), 2.0);
+}
+
+TEST(ForkedFleet, WatchdogKillsAndReapsWedgedWorkers)
+{
+    // Workers that never answer: the watchdog kills each attempt, both
+    // points are quarantined, and no child outlives the sweep.
+    ShardedSweep::SweepControls controls;
+    controls.supervise.retries = 1;
+    controls.supervise.pointTimeoutSec = 0.3;
+    StatSet stats;
+    const auto results =
+        runStandIns({"/bin/sleep", "30"}, controls, stats);
+
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto &result : results) {
+        EXPECT_TRUE(result.failed);
+        EXPECT_NE(result.failReason.find("--point-timeout"),
+                  std::string::npos)
+            << result.failReason;
+    }
+    EXPECT_EQ(stats.get("sweep.watchdogKills"), 4.0);
+    EXPECT_EQ(stats.get("sweep.quarantined"), 2.0);
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(QuarantinedResult, PoisonsEveryDerivedMetric)

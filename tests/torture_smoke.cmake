@@ -1,5 +1,5 @@
-# Bounded torture smoke, run as a ctest (and mirrored by the CI
-# torture-smoke job). Drives the torture bench on a small campaign and
+# Bounded torture smoke, run as a ctest (torture_smoke, in the CI
+# release leg). Drives the torture bench on a small campaign and
 # checks the three properties the recovery oracle promises:
 #
 #   1. A clean multi-error campaign (overlapping latent windows, errors
