@@ -99,22 +99,33 @@ BM_CoreExecution(benchmark::State &state)
 BENCHMARK(BM_CoreExecution);
 
 void
-BM_SlicerTracking(benchmark::State &state)
+BM_SlicerTracking(benchmark::State &state, unsigned chain)
 {
     // Throughput of producer-chain tracking (the per-instruction cost
-    // the ReCkpt configurations pay).
-    isa::Instruction inst{isa::Opcode::kAddi, 1, 1, 0, 1, false};
-    slice::SliceEngine engine(1);
+    // the ReCkpt configurations pay) on a self-dependent addi chain.
+    // With chain > 0 a movi restarts it every `chain` instructions, so
+    // every result stays within the build cap and holds a node
+    // (shallow); with 0 the chain is unbounded and runs node-less past
+    // the cap (deep).
+    isa::Instruction addi{isa::Opcode::kAddi, 1, 1, 0, 1, false};
+    isa::Instruction movi{isa::Opcode::kMovi, 1, 0, 0, 0, false};
+    slice::SliceEngine engine(1, slice::SlicePolicyConfig{});
     cpu::InstrEvent event;
     event.core = 0;
-    event.inst = &inst;
+    unsigned left = chain;
     for (auto _ : state) {
-        event.result += 1;
+        const bool restart = chain != 0 && --left == 0;
+        if (restart)
+            left = chain;
+        event.inst = restart ? &movi : &addi;
+        event.result = restart ? 0 : event.result + 1;
         engine.observe(event);
     }
+    benchmark::DoNotOptimize(engine.liveNodes());
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SlicerTracking);
+BENCHMARK_CAPTURE(BM_SlicerTracking, shallow, 8u);
+BENCHMARK_CAPTURE(BM_SlicerTracking, deep, 0u);
 
 void
 BM_SliceReplay(benchmark::State &state)

@@ -27,8 +27,7 @@ AcrEngine::onStoreRetired(const cpu::InstrEvent &event)
         return;
     }
 
-    const slice::BuiltSlice *built =
-        slicer_.buildForStore(event, config_.policy);
+    const slice::BuiltSlice *built = slicer_.buildForStore(event);
     if (!built) {
         // The dynamic producer chain for this instance was inadmissible
         // (too long under this control flow, too many inputs).

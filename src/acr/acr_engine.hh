@@ -28,17 +28,18 @@
 #include "common/stats.hh"
 #include "cpu/exec_observer.hh"
 #include "slice/engine.hh"
-#include "slice/policy.hh"
 #include "slice/repository.hh"
 
 namespace acr::amnesic
 {
 
-/** Configuration of the ACR microarchitectural support (Fig. 5). */
+/**
+ * Configuration of the ACR microarchitectural support (Fig. 5). Slice
+ * selection is not part of it: ASSOC-ADDR builds under the policy its
+ * slicer was constructed with, the one the compiler pass applied.
+ */
 struct AcrConfig
 {
-    slice::SlicePolicyConfig policy{};
-
     /** AddrMap entries (on-chip, Sec. III-C). */
     std::size_t addrMapCapacity = 8192;
 

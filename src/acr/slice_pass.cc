@@ -15,10 +15,8 @@ namespace
 class PassObserver final : public cpu::ExecObserver
 {
   public:
-    PassObserver(slice::SliceEngine &slicer,
-                 const slice::SlicePolicyConfig &policy,
-                 std::size_t program_size)
-        : slicer_(slicer), policy_(policy), hintedPcs_(program_size, 0)
+    PassObserver(slice::SliceEngine &slicer, std::size_t program_size)
+        : slicer_(slicer), hintedPcs_(program_size, 0)
     {
     }
 
@@ -27,8 +25,7 @@ class PassObserver final : public cpu::ExecObserver
     {
         if (isa::isStore(event.inst->op)) {
             ++dynamicStores_;
-            const slice::BuiltSlice *built =
-                slicer_.buildForStore(event, policy_);
+            const slice::BuiltSlice *built = slicer_.buildForStore(event);
             if (built) {
                 ++sliceableStores_;
                 hintedPcs_[event.pc] = 1;
@@ -50,7 +47,6 @@ class PassObserver final : public cpu::ExecObserver
 
   private:
     slice::SliceEngine &slicer_;
-    slice::SlicePolicyConfig policy_;
     /** Per-pc hint flags, indexed by static pc (dense, hot). */
     std::vector<std::uint8_t> hintedPcs_;
     slice::SliceRepository repo_;
@@ -66,8 +62,8 @@ SlicePass::run(const isa::Program &program,
                const slice::SlicePolicyConfig &policy)
 {
     sim::MulticoreSystem system(machine, program);
-    slice::SliceEngine slicer(machine.numCores);
-    PassObserver observer(slicer, policy, program.size());
+    slice::SliceEngine slicer(machine.numCores, policy);
+    PassObserver observer(slicer, program.size());
     system.runToCompletionWith(&observer);
 
     SlicePassResult result;

@@ -94,10 +94,12 @@ BerRuntime::run(const isa::Program &program,
     std::unique_ptr<slice::SliceEngine> slicer;
     std::unique_ptr<amnesic::AcrEngine> acr;
     if (config.mode == BerMode::kReCkpt) {
-        slicer = std::make_unique<slice::SliceEngine>(machine.numCores);
+        slice::SlicePolicyConfig policy;
+        policy.policy = config.policy;
+        policy.lengthThreshold = config.sliceThreshold;
+        slicer = std::make_unique<slice::SliceEngine>(machine.numCores,
+                                                      policy);
         amnesic::AcrConfig acr_config;
-        acr_config.policy.policy = config.policy;
-        acr_config.policy.lengthThreshold = config.sliceThreshold;
         acr_config.retentionIntervals = config.addrMapRetention;
         acr = std::make_unique<amnesic::AcrEngine>(acr_config, *slicer,
                                                    stats);

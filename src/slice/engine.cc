@@ -7,35 +7,23 @@ namespace acr::slice
 
 using isa::Opcode;
 
-SliceEngine::SliceEngine(unsigned num_cores, unsigned size_cap)
-    : numCores_(num_cores), sizeCap_(size_cap)
+SliceEngine::SliceEngine(unsigned num_cores,
+                         const SlicePolicyConfig &policy)
+    : numCores_(num_cores), policy_(policy)
 {
     ACR_ASSERT(num_cores >= 1, "slice engine needs >= 1 core");
-    ACR_ASSERT(size_cap >= 1, "size cap must be >= 1");
-    ACR_ASSERT(size_cap <= 0xFFFF,
-               "size cap must fit the packed 16-bit approxSize");
-    regNodes_.resize(num_cores);
-    regValues_.resize(num_cores);
-    for (auto &regs : regNodes_)
-        regs.fill(kLazy);
-    for (auto &vals : regValues_)
-        vals.fill(0);
-}
-
-SliceEngine::~SliceEngine()
-{
-    for (auto &regs : regNodes_)
-        for (NodeRef ref : regs)
-            if (ref != kLazy)
-                release(ref);
+    regs_.resize(num_cores);
+    for (auto &regs : regs_)
+        regs.fill(RegSlot{kLazy, 0, 0, 0});
 }
 
 void
 SliceEngine::releaseChildren(NodeRef a, NodeRef b)
 {
     // Iterative teardown: dropping the last reference to a chain head
-    // must not recurse down the chain (sizeCap_ bounds arith depth,
-    // but an explicit stack keeps the walk allocation-free and flat).
+    // must not recurse down the chain (the build cap bounds arith
+    // depth, but an explicit stack keeps the walk allocation-free and
+    // flat).
     if (a != kNil && --arena_[a].refs == 0)
         releaseStack_.push_back(a);
     if (b != kNil && --arena_[b].refs == 0)
@@ -55,29 +43,17 @@ SliceEngine::releaseChildren(NodeRef a, NodeRef b)
 }
 
 const BuiltSlice *
-SliceEngine::buildForStore(const cpu::InstrEvent &event,
-                           const SlicePolicyConfig &policy)
+SliceEngine::buildForStore(const cpu::InstrEvent &event)
 {
     const isa::Instruction &inst = *event.inst;
     ACR_ASSERT(isa::isStore(inst.op), "buildForStore on a non-store");
-    NodeRef root = regNodes_[event.core][inst.rs2];
-    if (root == kLazy)
-        return nullptr;  // lazy leaf root: pure load/copy, no Slice
-    const BuiltSlice *built = buildFromNode(root, policy);
-    if (built) {
-        ACR_ASSERT(built->value == event.result,
-                   "slice root value desynced from stored value");
-    }
-    return built;
-}
+    const NodeRef rootRef = regs_[event.core][inst.rs2].node;
+    // A leaf root (lazy or materialized) is a pure load/copy; a deep
+    // root is longer than any Slice the policy accepts.
+    if (rootRef >= kDeep || !arena_[rootRef].arith)
+        return nullptr;
 
-const BuiltSlice *
-SliceEngine::buildFromNode(NodeRef rootRef, const SlicePolicyConfig &policy)
-{
-    if (rootRef == kNil || !arena_[rootRef].arith)
-        return nullptr;  // pure copies/loads have no Slice
-
-    const unsigned max_instrs = policy.buildCap();
+    const unsigned max_instrs = policy_.buildCap();
 
     BuiltSlice &out = buildScratch_;
     out.slice.code.clear();
@@ -115,7 +91,7 @@ SliceEngine::buildFromNode(NodeRef rootRef, const SlicePolicyConfig &policy)
 
         if (!node.arith) {
             // Opaque leaf: capture the value as an input operand.
-            if (out.inputs.size() >= policy.maxInputs)
+            if (out.inputs.size() >= policy_.maxInputs)
                 return nullptr;
             std::uint32_t k = static_cast<std::uint32_t>(out.inputs.size());
             out.inputs.push_back(node.value);
@@ -149,8 +125,10 @@ SliceEngine::buildFromNode(NodeRef rootRef, const SlicePolicyConfig &policy)
 
     out.slice.numInputs = static_cast<std::uint32_t>(out.inputs.size());
 
-    if (!policy.accepts(out.slice.length(), out.inputs.size()))
+    if (!policy_.accepts(out.slice.length(), out.inputs.size()))
         return nullptr;
+    ACR_ASSERT(out.value == event.result,
+               "slice root value desynced from stored value");
     return &out;
 }
 
@@ -159,13 +137,8 @@ SliceEngine::resetCore(CoreId core,
                        const std::array<Word, isa::kNumRegs> &regs)
 {
     ACR_ASSERT(core < numCores_, "resetCore on unknown core %u", core);
-    for (unsigned r = 0; r < isa::kNumRegs; ++r) {
-        NodeRef old = regNodes_[core][r];
-        regNodes_[core][r] = kLazy;
-        regValues_[core][r] = regs[r];
-        if (old != kLazy)
-            release(old);
-    }
+    for (unsigned r = 0; r < isa::kNumRegs; ++r)
+        overwrite(regs_[core][r], {kLazy, 0, 0, regs[r]});
 }
 
 } // namespace acr::slice

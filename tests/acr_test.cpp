@@ -218,7 +218,8 @@ TEST(AddrMap, DifferentialAgainstReferenceModel)
 struct EngineRig
 {
     explicit EngineRig(AcrConfig config = AcrConfig{})
-        : slicer(1), engine(config, slicer, stats)
+        : slicer(1, slice::SlicePolicyConfig{}),
+          engine(config, slicer, stats)
     {
     }
 

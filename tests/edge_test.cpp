@@ -100,7 +100,7 @@ TEST(Edge, TinyOperandBufferFallsBackToLogging)
 
     StatSet stats;
     sim::MulticoreSystem system(machine, pass.program);
-    slice::SliceEngine slicer(2);
+    slice::SliceEngine slicer(2, slice::SlicePolicyConfig{});
     amnesic::AcrConfig acr_config;
     acr_config.operandBufferWords = 1;
     amnesic::AcrEngine acr(acr_config, slicer, stats);
@@ -150,7 +150,7 @@ TEST(Edge, TinyAddrMapLimitsOmissions)
 
     StatSet stats;
     sim::MulticoreSystem system(machine, pass.program);
-    slice::SliceEngine slicer(1);
+    slice::SliceEngine slicer(1, slice::SlicePolicyConfig{});
     amnesic::AcrConfig acr_config;
     acr_config.addrMapCapacity = 4;  // far below 64 unique addresses
     amnesic::AcrEngine acr(acr_config, slicer, stats);

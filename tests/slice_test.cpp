@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "cpu/core.hh"
@@ -163,11 +167,12 @@ TEST(Policy, CostModelAcceptsWhenRecomputeIsCheaper)
 
 struct SliceRig
 {
-    explicit SliceRig(isa::Program prog)
+    explicit SliceRig(isa::Program prog,
+                      const SlicePolicyConfig &policy = {})
         : program(std::move(prog)),
           caches(1, cache::HierarchyConfig{}, mem::DramConfig{}),
           core(0, program, memory, caches, cpu::CoreTimingConfig{}),
-          engine(1)
+          engine(1, policy)
     {
         for (const auto &[addr, value] : program.data().words)
             memory.write(addr, value);
@@ -177,19 +182,17 @@ struct SliceRig
 
     /** Run to halt, building a slice at each store. */
     std::vector<std::optional<BuiltSlice>>
-    run(const SlicePolicyConfig &policy)
+    run()
     {
         struct Observer : cpu::ExecObserver
         {
             SliceRig *rig;
-            const SlicePolicyConfig *policy;
             std::vector<std::optional<BuiltSlice>> built;
             void
             onInstr(const cpu::InstrEvent &e) override
             {
                 if (isa::isStore(e.inst->op)) {
-                    const BuiltSlice *b =
-                        rig->engine.buildForStore(e, *policy);
+                    const BuiltSlice *b = rig->engine.buildForStore(e);
                     built.push_back(b ? std::optional<BuiltSlice>(*b)
                                       : std::nullopt);
                     return;
@@ -198,7 +201,6 @@ struct SliceRig
             }
         } observer;
         observer.rig = this;
-        observer.policy = &policy;
         core.run(1u << 22, &observer);
         return std::move(observer.built);
     }
@@ -219,7 +221,7 @@ TEST(Engine, ArithmeticChainYieldsExactLengthSlice)
     b.store(2, 1);
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     ASSERT_EQ(built.size(), 1u);
     ASSERT_TRUE(built[0].has_value());
     EXPECT_EQ(built[0]->slice.length(), 3u);  // movi, addi, muli
@@ -237,7 +239,7 @@ TEST(Engine, LoadsBecomeCapturedInputs)
     b.store(1, 2, 1);
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     ASSERT_TRUE(built.at(0).has_value());
     EXPECT_EQ(built[0]->slice.length(), 1u);
     ASSERT_EQ(built[0]->inputs.size(), 1u);
@@ -254,7 +256,7 @@ TEST(Engine, StoredLoadHasNoSlice)
     b.store(1, 2, 1);  // pure copy: backward slice contains the load
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     EXPECT_FALSE(built.at(0).has_value());
 }
 
@@ -267,7 +269,7 @@ TEST(Engine, TidIsCapturedNotReplayed)
     b.store(2, 1);
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     ASSERT_TRUE(built.at(0).has_value());
     EXPECT_EQ(built[0]->slice.length(), 1u);
     ASSERT_EQ(built[0]->inputs.size(), 1u);
@@ -283,16 +285,15 @@ TEST(Engine, ThresholdRejectsLongChains)
     b.movi(2, 70);
     b.store(2, 1);
     b.halt();
-    SliceRig rig(b.build());
-
     SlicePolicyConfig strict;
     strict.lengthThreshold = 10;
-    EXPECT_FALSE(rig.run(strict).at(0).has_value());
+    SliceRig rig(b.build(), strict);
+    EXPECT_FALSE(rig.run().at(0).has_value());
 
-    SliceRig rig2(b.build());
     SlicePolicyConfig loose;
     loose.lengthThreshold = 20;
-    auto built = rig2.run(loose);
+    SliceRig rig2(b.build(), loose);
+    auto built = rig2.run();
     ASSERT_TRUE(built.at(0).has_value());
     EXPECT_EQ(built[0]->slice.length(), 16u);
 }
@@ -308,7 +309,7 @@ TEST(Engine, SharedSubexpressionsCountOnce)
     b.store(3, 2);
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     ASSERT_TRUE(built.at(0).has_value());
     EXPECT_EQ(built[0]->slice.length(), 3u);
 }
@@ -324,7 +325,7 @@ TEST(Engine, SliceNeverContainsMemoryOrControlOps)
     b.store(1, 2, 1);
     b.halt();
     SliceRig rig(b.build());
-    auto built = rig.run(SlicePolicyConfig{});
+    auto built = rig.run();
     ASSERT_TRUE(built.at(0).has_value());
     for (const SliceInstr &si : built[0]->slice.code)
         EXPECT_TRUE(isSliceable(si.op))
@@ -345,14 +346,13 @@ TEST(Engine, ResetCoreMakesRegistersOpaque)
     struct Observer : cpu::ExecObserver
     {
         SliceRig *rig;
-        SlicePolicyConfig policy;
         int stores = 0;
         std::optional<BuiltSlice> first, second;
         void
         onInstr(const cpu::InstrEvent &e) override
         {
             if (isa::isStore(e.inst->op)) {
-                const auto *built = rig->engine.buildForStore(e, policy);
+                const auto *built = rig->engine.buildForStore(e);
                 if (stores++ == 0) {
                     if (built)
                         first = *built;
@@ -376,6 +376,107 @@ TEST(Engine, ResetCoreMakesRegistersOpaque)
     EXPECT_TRUE(observer.first.has_value());
     EXPECT_FALSE(observer.second.has_value())
         << "after reset the value's producer is opaque";
+}
+
+TEST(Engine, DeepChainsHoldNoNodes)
+{
+    // A value deeper than the build cap fits in no accepted Slice, so
+    // it holds no node: a 1000-step self-dependent chain never keeps
+    // more than the cap's arith nodes plus the leaf they start from.
+    SlicePolicyConfig policy;
+    SliceEngine engine(1, policy);
+    isa::Instruction addi{Opcode::kAddi, 1, 1, 0, 1, false};
+    cpu::InstrEvent event;
+    event.core = 0;
+    event.inst = &addi;
+    for (int step = 0; step < 1000; ++step) {
+        event.result += 1;
+        engine.observe(event);
+        ASSERT_LE(engine.liveNodes(), policy.lengthThreshold + 1u)
+            << "step " << step;
+    }
+}
+
+/** movi then addi steps up to @p length Slice instructions, stored. */
+isa::Program
+chainOf(unsigned length)
+{
+    isa::ProgramBuilder b("chain");
+    b.movi(1, 1);
+    for (unsigned i = 1; i < length; ++i)
+        b.addi(1, 1, 1);
+    b.movi(2, 70);
+    b.store(2, 1);
+    b.halt();
+    return b.build();
+}
+
+TEST(Engine, ChainAtTheBuildCapIsAcceptedOneLongerIsNot)
+{
+    SlicePolicyConfig greedy5;
+    greedy5.lengthThreshold = 5;
+    SlicePolicyConfig greedy10;
+    SlicePolicyConfig cost;
+    cost.policy = SelectionPolicy::kCostModel;
+    for (const SlicePolicyConfig &policy : {greedy5, greedy10, cost}) {
+        const unsigned cap = policy.buildCap();
+        auto at_cap = SliceRig(chainOf(cap), policy).run();
+        ASSERT_TRUE(at_cap.at(0).has_value()) << "cap " << cap;
+        EXPECT_EQ(at_cap[0]->slice.length(), cap);
+        EXPECT_EQ(at_cap[0]->value, cap);
+        EXPECT_FALSE(
+            SliceRig(chainOf(cap + 1), policy).run().at(0).has_value())
+            << "cap " << cap;
+    }
+}
+
+TEST(Engine, ShallowWideDagIsStillRejectedByInstructionCount)
+{
+    // Depth 3 but seven distinct instructions: the depth cut keeps
+    // every node, and the walk still counts each instruction.
+    isa::ProgramBuilder b("wide");
+    b.movi(1, 1);
+    b.movi(2, 2);
+    b.movi(3, 3);
+    b.movi(4, 4);
+    b.add(5, 1, 2);
+    b.add(6, 3, 4);
+    b.add(7, 5, 6);
+    b.movi(8, 90);
+    b.store(8, 7);
+    b.halt();
+    const isa::Program program = b.build();
+
+    SlicePolicyConfig narrow;
+    narrow.lengthThreshold = 5;
+    EXPECT_FALSE(SliceRig(program, narrow).run().at(0).has_value());
+
+    SlicePolicyConfig wide;
+    wide.lengthThreshold = 7;
+    auto built = SliceRig(program, wide).run();
+    ASSERT_TRUE(built.at(0).has_value());
+    EXPECT_EQ(built[0]->slice.length(), 7u);
+    EXPECT_EQ(built[0]->value, 10u);
+}
+
+TEST(Engine, CollapsedChainFeedsAOneInstructionSlice)
+{
+    // movi plus kSizeCap addi steps: the last one's size exceeds the
+    // cap and collapses the chain into an opaque leaf. One more addi
+    // starts a 1-instruction Slice over that captured value.
+    isa::ProgramBuilder b("collapse");
+    b.movi(1, 1);
+    for (unsigned i = 0; i <= SliceEngine::kSizeCap; ++i)
+        b.addi(1, 1, 1);
+    b.movi(2, 70);
+    b.store(2, 1);
+    b.halt();
+    auto built = SliceRig(b.build()).run();
+    ASSERT_TRUE(built.at(0).has_value());
+    EXPECT_EQ(built[0]->slice.length(), 1u);
+    ASSERT_EQ(built[0]->inputs.size(), 1u);
+    EXPECT_EQ(built[0]->inputs[0], 1u + SliceEngine::kSizeCap);
+    EXPECT_EQ(built[0]->value, 2u + SliceEngine::kSizeCap);
 }
 
 /**
@@ -430,11 +531,11 @@ TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
     b.store(20, 1, 99);
     b.halt();
 
-    SliceRig rig(b.build());
     SlicePolicyConfig policy;
     policy.lengthThreshold = 64;
     policy.maxInputs = 64;
-    auto built = rig.run(policy);
+    SliceRig rig(b.build(), policy);
+    auto built = rig.run();
 
     unsigned replayed = 0;
     SliceRepository repo;
@@ -453,6 +554,308 @@ TEST_P(SliceReplayProperty, ReplayMatchesStoredValue)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SliceReplayProperty,
                          testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------------------------
+// Differential lock: the engine against a plain reference slicer
+// ---------------------------------------------------------------------
+
+/**
+ * The slicer without layout tricks: a node for every arithmetic result
+ * (none is ever freed), the engine's lazy-leaf sharing and over-size
+ * collapse, and a recursive post-order walk that visits the rs2
+ * producer before the rs1 producer, as the engine's stack does.
+ */
+class ReferenceSlicer
+{
+  public:
+    ReferenceSlicer(unsigned num_cores, const SlicePolicyConfig &policy)
+        : policy_(policy), regs_(num_cores)
+    {
+    }
+
+    void
+    observe(const cpu::InstrEvent &e)
+    {
+        const isa::Instruction &inst = *e.inst;
+        auto &regs = regs_[e.core];
+        if (isa::isLoad(inst.op) || inst.op == Opcode::kTid) {
+            regs[inst.rd] = {kLeaf, e.result};
+            return;
+        }
+        if (!isSliceable(inst.op))
+            return;
+        const bool use1 = isa::readsRs1(inst.op);
+        const bool use2 = isa::readsRs2(inst.op);
+        unsigned size = 1;
+        if (use1)
+            size += sizeOf(regs[inst.rs1]);
+        if (use2)
+            size += sizeOf(regs[inst.rs2]);
+        if (size > SliceEngine::kSizeCap) {
+            ++collapses;
+            regs[inst.rd] = {kLeaf, e.result};
+            return;
+        }
+        Node node{true, inst.op, inst.imm, e.result, size, 1, -1, -1};
+        if (use1)
+            node.in1 = link(regs[inst.rs1]);
+        if (use2)
+            node.in2 = link(regs[inst.rs2]);
+        for (int in : {node.in1, node.in2})
+            if (in >= 0)
+                node.depth = std::max(node.depth, nodes_[in].depth + 1);
+        nodes_.push_back(node);
+        regs[inst.rd] = {static_cast<int>(nodes_.size()) - 1, e.result};
+    }
+
+    std::optional<BuiltSlice>
+    build(const cpu::InstrEvent &e)
+    {
+        const int root = regs_[e.core][e.inst->rs2].node;
+        if (root == kLeaf || !nodes_[root].arith)
+            return std::nullopt;
+        if (nodes_[root].depth > policy_.buildCap())
+            ++deepRoots;
+        BuiltSlice out;
+        out.value = nodes_[root].value;
+        std::map<int, std::int32_t> slot;
+        if (!walk(root, out, slot))
+            return std::nullopt;
+        out.slice.numInputs = static_cast<std::uint32_t>(out.inputs.size());
+        if (!policy_.accepts(out.slice.length(), out.inputs.size()))
+            return std::nullopt;
+        return out;
+    }
+
+    void
+    resetCore(CoreId core, const std::array<Word, isa::kNumRegs> &regs)
+    {
+        for (unsigned r = 0; r < isa::kNumRegs; ++r)
+            regs_[core][r] = {kLeaf, regs[r]};
+    }
+
+    /** Over-size collapses seen, and stores whose root is deeper than
+     *  the build cap (stream coverage). */
+    unsigned collapses = 0;
+    unsigned deepRoots = 0;
+
+  private:
+    static constexpr int kLeaf = -1;  ///< lazy: the value sits in the slot
+
+    struct Node
+    {
+        bool arith;
+        Opcode op;
+        SWord imm;
+        Word value;
+        unsigned size;   ///< engine's approximate size
+        unsigned depth;  ///< longest arith path ending here
+        int in1;
+        int in2;
+    };
+
+    struct Slot
+    {
+        int node = kLeaf;
+        Word value = 0;
+    };
+
+    unsigned
+    sizeOf(const Slot &slot) const
+    {
+        return slot.node != kLeaf && nodes_[slot.node].arith
+                   ? nodes_[slot.node].size
+                   : 0;
+    }
+
+    int
+    link(Slot &slot)
+    {
+        if (slot.node == kLeaf) {
+            nodes_.push_back({false, Opcode::kMovi, 0, slot.value, 0, 0,
+                              -1, -1});
+            slot.node = static_cast<int>(nodes_.size()) - 1;
+        }
+        return slot.node;
+    }
+
+    bool
+    walk(int n, BuiltSlice &out, std::map<int, std::int32_t> &slot)
+    {
+        if (slot.count(n))
+            return true;
+        const Node node = nodes_[n];
+        if (!node.arith) {
+            if (out.inputs.size() >= policy_.maxInputs)
+                return false;
+            slot[n] =
+                inputSrc(static_cast<std::uint32_t>(out.inputs.size()));
+            out.inputs.push_back(node.value);
+            return true;
+        }
+        if (node.in2 >= 0 && !walk(node.in2, out, slot))
+            return false;
+        if (node.in1 >= 0 && !walk(node.in1, out, slot))
+            return false;
+        if (out.slice.code.size() >= policy_.buildCap())
+            return false;
+        slot[n] = static_cast<std::int32_t>(out.slice.code.size());
+        out.slice.code.push_back(
+            {node.op, node.imm, node.in1 >= 0 ? slot[node.in1] : kNoSrc,
+             node.in2 >= 0 ? slot[node.in2] : kNoSrc});
+        return true;
+    }
+
+    SlicePolicyConfig policy_;
+    std::vector<std::array<Slot, isa::kNumRegs>> regs_;
+    std::vector<Node> nodes_;
+};
+
+/**
+ * Drive the engine and the reference with seeded random instruction
+ * streams under @p policy and compare every store's build. The streams
+ * favour self-dependent chains on a few registers, so depths cross the
+ * build cap and sizes cross the collapse; per-seed reset and merge
+ * rates vary how long those chains live and how fast they widen.
+ */
+void
+expectEngineMatchesReference(const SlicePolicyConfig &policy)
+{
+    constexpr Opcode kRegReg[] = {
+        Opcode::kAdd,  Opcode::kSub,    Opcode::kMul,    Opcode::kDivu,
+        Opcode::kRemu, Opcode::kAnd,    Opcode::kOr,     Opcode::kXor,
+        Opcode::kShl,  Opcode::kShr,    Opcode::kSra,    Opcode::kMin,
+        Opcode::kMax,  Opcode::kCmpEq,  Opcode::kCmpLtu, Opcode::kCmpLts};
+    constexpr Opcode kRegImm[] = {Opcode::kAddi, Opcode::kMuli,
+                                  Opcode::kAndi, Opcode::kOri,
+                                  Opcode::kXori, Opcode::kShli,
+                                  Opcode::kShri};
+    constexpr unsigned kRegs = 6;  // r1..r6: plenty of aliasing
+
+    unsigned accepted = 0, rejected = 0, collapses = 0, deep_roots = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const unsigned cores = 1 + static_cast<unsigned>(seed % 3);
+        const double reset = seed % 4 == 0 ? 0.1 : seed % 4 == 1 ? 0.02
+                                                                  : 0.003;
+        const double merge = seed % 3 == 0 ? 0.01 : 0.1;
+        SliceEngine engine(cores, policy);
+        ReferenceSlicer reference(cores, policy);
+        std::vector<std::array<Word, isa::kNumRegs>> file(cores);
+        std::vector<isa::Reg> hot(cores, 1);
+        auto reg = [&] {
+            return static_cast<isa::Reg>(1 + rng.below(kRegs));
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            const CoreId core = static_cast<CoreId>(rng.below(cores));
+            auto &regs = file[core];
+            if (rng.chance(0.02))
+                hot[core] = reg();
+            const isa::Reg h = hot[core];
+
+            isa::Instruction inst;
+            cpu::InstrEvent e;
+            e.core = core;
+            e.inst = &inst;
+            const double pick = rng.uniform() - reset;
+            if (pick < 0) {
+                // A leaf producer ends whatever chain rd held.
+                const double kind = rng.uniform();
+                inst.op = kind < 0.4   ? Opcode::kMovi
+                          : kind < 0.9 ? Opcode::kLoad
+                                       : Opcode::kTid;
+                inst.rd = reg();
+                inst.rs1 = reg();
+                inst.imm = static_cast<SWord>(rng.below(1000));
+            } else if (pick < 0.003) {
+                engine.resetCore(core, regs);
+                reference.resetCore(core, regs);
+                continue;
+            } else if (pick < 0.18) {
+                inst = {Opcode::kStore, 0, reg(),
+                        rng.chance(0.5) ? h : reg(), 0, false};
+            } else if (pick < 0.2) {
+                inst = {Opcode::kBne, 0, reg(), reg(), 0, false};
+            } else if (pick < 0.27) {
+                inst = {kRegReg[rng.below(std::size(kRegReg))], reg(),
+                        reg(), reg(), 0, false};
+            } else if (pick < 0.27 + merge) {
+                // Merge into the hot chain (h op h doubles its size).
+                inst = {kRegReg[rng.below(std::size(kRegReg))], h, h,
+                        rng.chance(0.3) ? h : reg(), 0, false};
+                if (rng.chance(0.5))
+                    std::swap(inst.rs1, inst.rs2);
+            } else {
+                // Extend the hot chain by one instruction.
+                inst = {kRegImm[rng.below(std::size(kRegImm))], h, h, 0,
+                        static_cast<SWord>(rng.below(64)), false};
+            }
+
+            if (isa::isStore(inst.op)) {
+                e.result = regs[inst.rs2];
+                const BuiltSlice *got = engine.buildForStore(e);
+                const std::optional<BuiltSlice> want = reference.build(e);
+                ASSERT_EQ(got != nullptr, want.has_value())
+                    << "seed " << seed << " step " << step;
+                if (!got) {
+                    ++rejected;
+                    continue;
+                }
+                ++accepted;
+                ASSERT_EQ(got->slice, want->slice)
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(got->inputs, want->inputs)
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(got->value, want->value)
+                    << "seed " << seed << " step " << step;
+                continue;
+            }
+            if (isa::isLoad(inst.op))
+                e.result = rng.next();
+            else if (isSliceable(inst.op))
+                e.result = isa::evalArith(inst.op, regs[inst.rs1],
+                                          regs[inst.rs2], inst.imm, core);
+            if (isa::writesReg(inst.op))
+                regs[inst.rd] = e.result;
+            engine.observe(e);
+            reference.observe(e);
+        }
+        collapses += reference.collapses;
+        deep_roots += reference.deepRoots;
+    }
+    // The streams reached every regime the engine distinguishes.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(collapses, 100u);
+    EXPECT_GT(deep_roots, 100u);
+}
+
+TEST(SliceEngineDifferential, GreedyThreshold5)
+{
+    SlicePolicyConfig policy;
+    policy.lengthThreshold = 5;
+    expectEngineMatchesReference(policy);
+}
+
+TEST(SliceEngineDifferential, GreedyThreshold10)
+{
+    expectEngineMatchesReference(SlicePolicyConfig{});
+}
+
+TEST(SliceEngineDifferential, GreedyThreshold50)
+{
+    SlicePolicyConfig policy;
+    policy.lengthThreshold = 50;
+    expectEngineMatchesReference(policy);
+}
+
+TEST(SliceEngineDifferential, CostModel)
+{
+    SlicePolicyConfig policy;
+    policy.policy = SelectionPolicy::kCostModel;
+    expectEngineMatchesReference(policy);
+}
 
 } // namespace
 } // namespace acr::slice
