@@ -1,14 +1,14 @@
 /**
  * @file
- * AppendLog: the durable ndjson append log under the sweep Journal
- * (supervisor.hh) and the ResultCache (result_cache.hh). The owners
- * keep their header and record rules; the durability they share lives
- * here: a torn final line (a writer died mid-append) is dropped on
- * load and chopped off before appending resumes, every record is
- * fsync'd, and a failed write or fsync (ENOSPC, EIO) warns once and
- * turns the log into a no-op instead of killing the sweep.
+ * AppendLog: the durable ndjson append log under the ResultCache
+ * (result_cache.hh). The owner keeps its header and record rules; the
+ * durability protocol lives here: a torn final line (a writer died
+ * mid-append) is dropped on load and chopped off before appending
+ * resumes, every record is fsync'd, and a failed write or fsync
+ * (ENOSPC, EIO) warns once and turns the log into a no-op instead of
+ * killing the sweep.
  *
- * Not thread-safe: owners serialize calls under their own mutex.
+ * Not thread-safe: the owner serializes calls under its own mutex.
  */
 
 #ifndef ACR_HARNESS_APPEND_LOG_HH
@@ -24,7 +24,7 @@ namespace acr::harness
 class AppendLog
 {
   public:
-    /** @param what names the file in warnings and fatals ("journal");
+    /** @param what names the file in warnings and fatals ("cache");
      *  @param degradeNote ends the append-failure warning. */
     AppendLog(const char *what, const char *degradeNote)
         : what_(what), degradeNote_(degradeNote)

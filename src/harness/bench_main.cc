@@ -13,7 +13,6 @@
 #include "common/options.hh"
 #include "harness/exit_code.hh"
 #include "harness/result_cache.hh"
-#include "harness/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace acr::harness
@@ -107,18 +106,13 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     parser.addDouble("point-timeout", 0.0,
                      "per-point watchdog in seconds: SIGKILL and retry "
                      "a worker wedged longer than this (0: off)");
-    parser.addString("journal", "",
-                     "append each completed point to this file as "
-                     "fsync'd wire records (progress log + result "
-                     "cache)");
-    parser.addFlag("resume",
-                   "serve points already completed in --journal "
-                   "instead of re-simulating them");
     parser.addString("cache", "",
                      "content-addressed cross-bench result cache "
                      "file: serve identical (workload, config, "
                      "threads) points from it instead of simulating, "
-                     "and append fresh results (default: $ACR_CACHE)");
+                     "and append fresh results; rerun a killed sweep "
+                     "with the same file to restart it (default: "
+                     "$ACR_CACHE)");
     if (spec.options)
         spec.options(parser);
     parser.parse(argc, argv);
@@ -178,8 +172,6 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     if (options.pointTimeout < 0)
         fatal("--point-timeout must be >= 0, got %g",
               options.pointTimeout);
-    options.journal = parser.getString("journal");
-    options.resume = parser.getFlag("resume");
     options.cachePath = parser.getString("cache");
 
     if (options.shardMode && !options.mergeFiles.empty())
@@ -200,16 +192,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
          !options.mergeFiles.empty() || options.forks > 0))
         fatal("--connect does not combine with "
               "--worker/--shard/--merge/--forks");
-    if (options.connectMode &&
-        (!options.journal.empty() || !options.cachePath.empty()))
-        fatal("--journal/--cache are coordinator-side; they do not "
-              "combine with --connect");
-    if (options.resume && options.journal.empty())
-        fatal("--resume needs --journal");
-    if (!options.journal.empty() &&
-        (options.workerMode || !options.mergeFiles.empty()))
-        fatal("--journal only applies when this invocation sweeps "
-              "(not --worker/--merge)");
+    if (options.connectMode && !options.cachePath.empty())
+        fatal("--cache is coordinator-side; it does not combine with "
+              "--connect");
     if (!options.cachePath.empty() &&
         (options.workerMode || !options.mergeFiles.empty()))
         fatal("--cache only applies when this invocation sweeps "
@@ -423,7 +408,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     ACR_ASSERT(!grid.empty(), "bench grid is empty");
 
     // --backend rewrites the grid before anything derives from it
-    // (gridHash, journals, manifests, cache keys), so every mode —
+    // (gridHash, manifests, cache keys), so every mode —
     // jobs, forks, shard, merge — agrees on the same points and the
     // ResultCache distinguishes backends by content. NoCkpt points
     // keep the default: they store nothing, and validate() rejects a
@@ -464,17 +449,12 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     const auto owned =
         ShardedSweep::shardIndices(grid.size(), shard);
 
-    Journal journal;
-    if (!options.journal.empty())
-        journal.open(options.journal, options.resume, spec.name,
-                     shard.index, shard.count, grid);
-
     ResultCache cache;
     if (!options.cachePath.empty())
         cache.open(options.cachePath);
 
-    // Test hook: _exit abruptly after this many journal appends —
-    // simulates a coordinator SIGKILLed mid-sweep for the --resume
+    // Test hook: _exit abruptly after this many cache appends —
+    // simulates a coordinator SIGKILLed mid-sweep for the restart
     // tests. Inert unless the environment sets it.
     const char *exit_env = std::getenv("ACR_TEST_COORD_EXIT_AFTER");
     unsigned long long exit_after = 0;
@@ -489,38 +469,21 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     controls.supervise.pointTimeoutSec = options.pointTimeout;
     controls.supervise.heartbeatSec = options.heartbeatSec;
 
-    // Coordinator-side serving map, by grid index: the journal's
-    // grid-keyed completions plus content-addressed cache hits. Both
-    // feed SweepControls::cache, so a served point is never dealt to
-    // a worker — in-process, forked, or sharded mode alike.
+    // Coordinator-side serving map, by grid index: the owned points
+    // the cache holds by content. It feeds SweepControls::cache, so a
+    // served point is never dealt to a worker — in-process, forked,
+    // or sharded mode alike — and a rerun of a killed sweep redoes
+    // only what never reached the file.
     std::map<std::size_t, ExperimentResult> served;
-    if (journal.isOpen()) {
-        served = journal.entries();
-        std::size_t hits = 0;
-        for (const auto index : owned)
-            hits += journal.entries().count(index);
-        std::cerr << "[sweep] journal: served " << hits << " of "
-                  << owned.size() << " owned point(s) from '"
-                  << options.journal << "'\n";
-    }
-    if (cache.isOpen())
-        for (const auto index : owned)
-            if (!served.count(index))
-                if (const auto *hit = cache.find(grid[index]))
-                    served.emplace(index, *hit);
-    if (journal.isOpen() || cache.isOpen()) {
+    if (cache.isOpen()) {
+        served = cache.served(grid, owned);
         controls.cache = &served;
-        controls.completed = [&journal, &cache, &grid, exit_after](
+        controls.completed = [&cache, &grid, exit_after](
                                  std::size_t index,
                                  const ExperimentResult &result) {
-            if (journal.isOpen()) {
-                journal.record(index, result);
-                if (exit_after != 0 &&
-                    journal.appended() >= exit_after)
-                    ::_exit(7);
-            }
-            if (cache.isOpen())
-                cache.insert(grid[index], result);
+            cache.insert(grid[index], result);
+            if (exit_after != 0 && cache.inserts() >= exit_after)
+                ::_exit(7);
         };
     }
 

@@ -43,28 +43,25 @@
  *                     default 2)
  *   --point-timeout=S per-point wall-clock watchdog: SIGKILL + retry
  *                     a worker wedged longer than S seconds (0: off)
- *   --journal=FILE    append every completed point to FILE as fsync'd
- *                     wire records (crash-safe progress log + result
- *                     cache)
- *   --resume          load --journal and serve already-completed
- *                     points from it instead of re-simulating
  *   --cache=FILE      content-addressed cross-bench result cache
  *                     (DESIGN.md §11; default $ACR_CACHE): identical
  *                     (workload, config, threads) points — from any
  *                     bench, at any grid position — are served from
  *                     FILE instead of simulating, and fresh results
- *                     are appended fsync'd. Lookups are
- *                     coordinator-side in every mode, so cached
- *                     points are never dealt to --forks workers.
- *                     Quarantined points are never cached (they
- *                     retry). Hit/miss/insert counters go to stderr.
+ *                     are appended fsync'd as they complete, so a
+ *                     killed sweep restarts by rerunning it with the
+ *                     same FILE. Lookups are coordinator-side in
+ *                     every mode, so cached points are never dealt to
+ *                     --forks workers. Quarantined points are never
+ *                     cached (they retry). Hit/miss/insert counters go
+ *                     to stderr.
  *
  * Determinism contract: for a fixed grid, the rendered output of
  * `--jobs=1`, `--jobs=N`, `--forks=N`, `--listen` (any TCP fleet,
  * however it churned), and `--shard`-then-`--merge` is byte-identical
  * (host timing goes to stderr) — including when points were retried
  * after worker crashes, transport faults, or disconnections, or
- * served from a journal or the content-addressed result cache.
+ * served from the content-addressed result cache.
  * A sweep with quarantined points renders FAILED cells and exits 3.
  */
 
@@ -107,8 +104,6 @@ struct BenchOptions
 
     unsigned retries = 2;       ///< --retries (forked and TCP)
     double pointTimeout = 0.0;  ///< --point-timeout seconds (0: off)
-    std::string journal;        ///< --journal path ("" : none)
-    bool resume = false;        ///< --resume (needs --journal)
     std::string cachePath;      ///< --cache / $ACR_CACHE ("" : none)
 };
 

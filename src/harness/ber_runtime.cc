@@ -72,10 +72,10 @@ BerRuntime::run(const isa::Program &program,
     // from the profile instead of re-simulating. Final-state
     // verification holds trivially — the reference image *is* this
     // execution's image. The guards keep every config that could
-    // diverge (errors, oracle, tracing) on the full simulation path;
-    // NoCkpt configs reject most of those anyway.
+    // diverge (errors, oracle) on the full simulation path; NoCkpt
+    // configs reject most of those anyway.
     if (config.mode == BerMode::kNoCkpt && config.numErrors == 0 &&
-        !config.oracle && !config.trace) {
+        !config.oracle) {
         result.stats = profile.stats;
         stats.set("sim.numCores", static_cast<double>(machine.numCores));
         energy::EnergyModel energy_model;
@@ -173,14 +173,6 @@ BerRuntime::run(const isa::Program &program,
     bool lost = false;
 
     auto handle_detection = [&](const fault::DetectionEvent &detection) {
-        if (config.trace) {
-            config.trace->instant("fault",
-                                  csprintf("error on core %u",
-                                           detection.core),
-                                  detection.errorTime);
-            config.trace->instant("fault", "detection",
-                                  detection.detectTime);
-        }
         if (oracle)
             oracle->beforeRecovery(*manager);
         auto outcome = manager->recover(detection.core,
@@ -199,14 +191,6 @@ BerRuntime::run(const isa::Program &program,
         if (injector)
             injector->onRecovery(outcome.affected,
                                  outcome.targetEstablishedAt);
-        if (config.trace) {
-            config.trace->span(
-                "recovery",
-                csprintf("rollback to ckpt %llu",
-                         static_cast<unsigned long long>(
-                             outcome.targetIndex)),
-                detection.detectTime, outcome.resumeCycle);
-        }
         // Producer chains of rolled-back cores are stale; reseed the
         // slicer from the restored register files.
         if (slicer) {
@@ -228,10 +212,10 @@ BerRuntime::run(const isa::Program &program,
     // Resume: overwrite the freshly built components with the donor
     // snapshot and substitute its saved step result for the first
     // iteration's stepWith(). The Runner guarantees eligibility (no
-    // oracle/trace, stateless backend, trigger >= snapshot).
+    // oracle, stateless backend, trigger >= snapshot).
     bool resume_pending = false;
     if (prefix && prefix->resume) {
-        ACR_ASSERT(manager && !oracle && !config.trace,
+        ACR_ASSERT(manager && !oracle,
                    "prefix resume with an ineligible configuration");
         resumePrefix(*prefix->resume, system, next_ckpt, stats,
                      slicer.get(), acr.get(), *manager);
@@ -315,20 +299,11 @@ BerRuntime::run(const isa::Program &program,
                     stats.add("ckpt.placementDeferrals");
             }
             if (!defer) {
-                Cycle before = system.maxCycle();
                 manager->establish();
                 if (oracle)
                     oracle->onEstablish(
                         *manager,
                         injector ? injector->latentCount() : 0);
-                if (config.trace) {
-                    config.trace->span(
-                        "checkpoint",
-                        csprintf("ckpt %llu",
-                                 static_cast<unsigned long long>(
-                                     manager->checkpointsEstablished())),
-                        before, system.maxCycle());
-                }
                 next_ckpt += period;
             }
         }

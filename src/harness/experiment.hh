@@ -16,7 +16,6 @@
 
 #include "ckpt/manager.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "slice/policy.hh"
 
@@ -118,10 +117,6 @@ struct ExperimentConfig
     /** StorageFaultPlan shrinking mask, same keep-bit convention as
      *  faultEventMask (the torture shrinker bisects it). */
     std::uint64_t storageFaultMask = ~std::uint64_t{0};
-
-    /** Optional event timeline sink (checkpoints, errors, recoveries);
-     *  not owned. */
-    EventTrace *trace = nullptr;
 
     /** Human-readable label ("ReCkpt_E,Loc" etc.). */
     std::string label() const;

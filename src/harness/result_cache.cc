@@ -116,12 +116,6 @@ ResultCache::find(const GridPoint &point)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ACR_ASSERT(isOpen(), "cache not open");
-    if (point.config.trace != nullptr) {
-        // A host-memory trace sink cannot be serialized, so the point
-        // was never cached; don't try to encode it.
-        ++misses_;
-        return nullptr;
-    }
     const auto it = entries_.find(wire::encodePoint(point).dump());
     if (it == entries_.end()) {
         ++misses_;
@@ -136,8 +130,8 @@ ResultCache::insert(const GridPoint &point,
                     const ExperimentResult &result)
 {
     // Quarantined points are not cached: retrying on the next run is
-    // the natural resume semantic, matching the journal.
-    if (result.failed || point.config.trace != nullptr)
+    // the natural restart semantic.
+    if (result.failed)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
     ACR_ASSERT(isOpen(), "cache not open");
@@ -153,11 +147,43 @@ ResultCache::insert(const GridPoint &point,
         ++inserts_;
 }
 
+std::map<std::size_t, ExperimentResult>
+ResultCache::served(const std::vector<GridPoint> &grid,
+                    const std::vector<std::size_t> &owned)
+{
+    std::map<std::size_t, ExperimentResult> served;
+    for (const auto index : owned)
+        if (const auto *hit = find(grid[index]))
+            served.emplace(index, *hit);
+    return served;
+}
+
 std::size_t
 ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+std::uint64_t
+ResultCache::hits() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return hits_;
+}
+
+std::uint64_t
+ResultCache::misses() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return misses_;
+}
+
+std::uint64_t
+ResultCache::inserts() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return inserts_;
 }
 
 void

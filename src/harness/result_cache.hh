@@ -1,30 +1,30 @@
 /**
  * @file
- * ResultCache: the persistent, content-addressed, cross-bench result
- * store (DESIGN.md §11) — the second half of the paper's "never
- * regenerate what you already have durable" discipline applied to the
- * harness's own sweeps.
+ * ResultCache: the harness's one durable result store (DESIGN.md §10,
+ * §11) — the paper's "never regenerate what you already have durable"
+ * discipline applied to the harness's own sweeps.
  *
- * Where the Journal (supervisor.hh) keys completed points by *grid
- * index* and is therefore bound to one bench invocation's exact grid,
- * the ResultCache keys them by *content*: the FNV-1a hash of the
- * canonical serde encoding of the GridPoint itself (workload + full
- * ExperimentConfig + threads, wire::pointHash). Any bench that
- * enumerates the same experiment — at any grid position, under any
- * sharding — is served the stored result instead of re-simulating.
+ * Completed points are keyed by *content*: the canonical serde
+ * encoding of the GridPoint itself (workload + full ExperimentConfig +
+ * threads; each entry also stores its FNV-1a hash, wire::pointHash, as
+ * a check). Any bench that enumerates the same experiment — at any
+ * grid position, under any sharding — is served the stored result
+ * instead of re-simulating. That is also how a killed sweep restarts:
+ * rerun it with the same file, and every point that reached the file
+ * is served while only the rest are simulated.
  *
- * On disk the cache is one ndjson file kept by the AppendLog the
- * Journal also uses (append_log.hh): a versioned header line (cache
- * schema version plus the wire::kVersion its records were encoded
- * under), then one fsync'd entry per result, appended as they
- * complete. Every corruption mode
- * degrades to recompute, never to a crash or a wrong table:
+ * On disk the cache is one ndjson file kept by an AppendLog
+ * (append_log.hh): a versioned header line (cache schema version plus
+ * the wire::kVersion its records were encoded under), then one fsync'd
+ * entry per result, appended as they complete. Nothing in the file is
+ * fatal — every corruption mode degrades to recompute, never to a
+ * crash or a wrong table:
  *
  *   - unknown/garbled header, stale cache version, or a wirev that
  *     does not match this build  → the whole file is cold (truncated
  *     and re-headed; every lookup misses);
  *   - a torn final line (no trailing newline)  → dropped and the file
- *     truncated to the durable prefix, like the journal;
+ *     truncated to the durable prefix;
  *   - an unreadable entry line (flipped byte, key/point mismatch,
  *     schema drift)  → that entry alone is skipped (served as a miss);
  *   - a failed append or fsync (ENOSPC, EIO, a yanked disk)  → the
@@ -33,12 +33,16 @@
  *     keeps deduplicating in memory, nothing new persists.
  *
  * Quarantined results are never cached: a failed point's natural
- * resume semantic is retry, exactly as in the journal.
+ * restart semantic is retry.
  *
- * Thread-safety: find() and insert() take an internal mutex; the
- * in-process sweep calls insert() from worker threads. Returned
- * pointers stay valid for the cache's lifetime (std::map nodes are
- * stable under insertion).
+ * A cache is only as fresh as the code that wrote it: `wirev` catches
+ * schema changes, not changes to the simulated model, so delete the
+ * file after changing what a point computes.
+ *
+ * Thread-safety: find(), insert(), size() and the counters take an
+ * internal mutex; the in-process sweep calls insert() and reads
+ * inserts() from worker threads. Returned pointers stay valid for the
+ * cache's lifetime (std::map nodes are stable under insertion).
  */
 
 #ifndef ACR_HARNESS_RESULT_CACHE_HH
@@ -48,6 +52,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "harness/append_log.hh"
 #include "harness/wire.hh"
@@ -86,27 +91,36 @@ class ResultCache
 
     /**
      * Look up @p point by content; nullptr on miss. Counts into
-     * hits()/misses(). A point carrying a host-memory trace sink is
-     * uncacheable and always misses.
+     * hits()/misses().
      */
     const ExperimentResult *find(const GridPoint &point);
 
     /**
      * Append @p result under @p point's content key (fsync'd before
-     * returning). No-op for quarantined results (retry semantics),
-     * uncacheable points, and keys already present. A failed append
-     * (ENOSPC/EIO) degrades the cache instead of dying — see the file
-     * comment. Thread-safe.
+     * returning). No-op for quarantined results (retry semantics) and
+     * keys already present. A failed append (ENOSPC/EIO) degrades the
+     * cache instead of dying — see the file comment. Thread-safe.
      */
     void insert(const GridPoint &point, const ExperimentResult &result);
+
+    /**
+     * The restart view of a sweep over @p grid: each @p owned index
+     * whose point this cache holds, mapped to the stored result. It is
+     * what SweepControls::cache serves instead of re-simulating, so a
+     * rerun of a killed sweep redoes only what never reached the file.
+     * Counts into hits()/misses() like find().
+     */
+    std::map<std::size_t, ExperimentResult>
+    served(const std::vector<GridPoint> &grid,
+           const std::vector<std::size_t> &owned);
 
     /** Entries currently loaded/inserted. */
     std::size_t size() const;
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const;
+    std::uint64_t misses() const;
     /** Entries appended by this process (excludes loaded ones). */
-    std::uint64_t inserts() const { return inserts_; }
+    std::uint64_t inserts() const;
 
     void close();
 

@@ -149,8 +149,8 @@ answerDealt(RunnerPool &pool, WorkerHooks &hooks,
     return Dealt::kContinue;
 }
 
-/** The result @p controls already holds for @p grid_index (a journal
- *  or result-cache hit), or null when the point must be simulated. */
+/** The result @p controls already holds for @p grid_index (a
+ *  result-cache hit), or null when the point must be simulated. */
 const ExperimentResult *
 served(const ShardedSweep::SweepControls &controls,
        std::size_t grid_index)
@@ -285,7 +285,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<double> point_millis(indices.size(), 0.0);
-    double journal_hits = 0.0;
 
     std::vector<ExperimentResult> results;
     const unsigned workers = static_cast<unsigned>(
@@ -297,7 +296,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
             const std::size_t grid_index = indices[slot];
             if (const auto *hit = served(controls, grid_index)) {
                 results[slot] = *hit;
-                ++journal_hits;
             } else {
                 const GridPoint &point = points[grid_index];
                 const auto point_start =
@@ -313,13 +311,12 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         }
     } else {
         OrderedMerger merger(indices.size());
-        // Serve journal hits up front; the worker threads skip those
+        // Serve cache hits up front; the worker threads skip those
         // slots (from_cache is read-only once they start).
         std::vector<bool> from_cache(indices.size(), false);
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
             if (const auto *hit = served(controls, indices[slot])) {
                 from_cache[slot] = true;
-                ++journal_hits;
                 merger.deliver(slot, *hit);
             }
         }
@@ -363,8 +360,6 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
         work += point_millis[slot];
     }
     hostStats_.set("sweep.workMillis", work);
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
     return results;
 }
 
@@ -436,18 +431,13 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
                             StatSet supervision,
                             const TaskExecutor &execute)
 {
-    for (const auto &point : points)
-        if (point.config.trace != nullptr)
-            fatal("GridPoint trace sinks cannot cross a process "
-                  "boundary; use the in-process executor");
-
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
 
     // The supervisor delivers in completion order; the ordered sink
     // fires here as the completed prefix grows, so rendered output
     // stays byte-identical to a --jobs=1 run regardless of crashes,
-    // retries, or journal hits.
+    // retries, or cache hits.
     std::vector<ExperimentResult> results(indices.size());
     std::vector<bool> done(indices.size(), false);
     std::size_t next_emit = 0;
@@ -459,14 +449,12 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
         }
     };
 
-    double journal_hits = 0.0;
     std::vector<Supervisor::Task> tasks;
     for (std::size_t slot = 0; slot < indices.size(); ++slot) {
         const std::size_t grid_index = indices[slot];
         if (const auto *hit = served(controls, grid_index)) {
             results[slot] = *hit;
             done[slot] = true;
-            ++journal_hits;
         } else {
             tasks.push_back({slot, grid_index, &points[grid_index]});
         }
@@ -492,8 +480,6 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
     hostStats_.clear();
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));
     hostStats_.set("sweep.wallMillis", millisSince(wall_start));
-    if (controls.cache != nullptr)
-        hostStats_.set("sweep.journalHits", journal_hits);
     hostStats_.merge(supervision);
     return results;
 }

@@ -91,9 +91,9 @@ class ShardedSweep
     /**
      * Completion-order sink: fires once per point *as it finishes*
      * (no ordering guarantee), before the ordered sink sees it — the
-     * journal's append hook. In-process multi-job sweeps invoke it
-     * from worker threads; callers must make it thread-safe
-     * (Journal::record is).
+     * result cache's append hook. In-process multi-job sweeps invoke
+     * it from worker threads; callers must make it thread-safe
+     * (ResultCache::insert is).
      */
     using CompletionSink =
         std::function<void(std::size_t, const ExperimentResult &)>;
@@ -108,14 +108,14 @@ class ShardedSweep
         /** Ascending-grid-index streaming sink (may be empty). */
         OrderedSink sink;
 
-        /** Completion-order journal hook (may be empty). */
+        /** Completion-order append hook (may be empty). */
         CompletionSink completed;
 
         /**
-         * Already-completed results by grid index (a loaded
-         * Journal's entries()); owned points found here are served
-         * without re-simulation and never reach `completed`. Not
-         * owned; may be null.
+         * Already-completed results by grid index (the owned points a
+         * ResultCache holds); points found here are served without
+         * re-simulation and never reach `completed`. Not owned; may
+         * be null.
          */
         const std::map<std::size_t, ExperimentResult> *cache = nullptr;
 
@@ -146,18 +146,15 @@ class ShardedSweep
     /**
      * Execute this shard's slice of @p points on the in-process thread
      * pool. Returns the owned results in ascending grid-index order
-     * (all of them when shard is the default whole-grid 0/1). Points
-     * must be independent: a non-null config.trace sink must not be
-     * shared between points (trace sinks are not synchronized — give
-     * each point its own, or use jobs=1).
+     * (all of them when shard is the default whole-grid 0/1).
      */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard = {},
         const OrderedSink &sink = {});
 
-    /** As above, with the full fault-tolerance controls (journal
-     *  cache + completion hook; supervision options are unused on the
-     *  in-process path, which cannot crash partially). */
+    /** As above, with the full fault-tolerance controls (served
+     *  results + completion hook; supervision options are unused on
+     *  the in-process path, which cannot crash partially). */
     std::vector<ExperimentResult>
     run(const std::vector<GridPoint> &points, Shard shard,
         const SweepControls &controls);
@@ -191,9 +188,9 @@ class ShardedSweep
      * runForked — elastic membership, the shared
      * retry/backoff/quarantine ladder, and the same ordered merge, so
      * rendered output stays byte-identical to a local `--jobs=1` run
-     * no matter how the fleet churned. Cached points (journal /
-     * result cache) are served coordinator-side and never dealt; a
-     * fully served grid returns without ever listening.
+     * no matter how the fleet churned. Cached points are served
+     * coordinator-side and never dealt; a fully served grid returns
+     * without ever listening.
      */
     std::vector<ExperimentResult>
     runDistributed(const std::vector<GridPoint> &points,
@@ -252,11 +249,10 @@ class ShardedSweep
     /** Host-side timing of the most recent run()/runForked():
      *  sweep.jobs or sweep.forkedWorkers, sweep.points,
      *  sweep.wallMillis, and for in-process runs sweep.workMillis
-     *  plus sweep.point.<index>.millis. With a journal cache,
-     *  sweep.journalHits; forked runs add the Supervisor counters
-     *  (sweep.respawns, sweep.retries, sweep.workerCrashes,
-     *  sweep.watchdogKills, sweep.quarantined); distributed runs add
-     *  sweep.netJoins and sweep.netLeaves. */
+     *  plus sweep.point.<index>.millis. Forked runs add the
+     *  Supervisor counters (sweep.respawns, sweep.retries,
+     *  sweep.workerCrashes, sweep.watchdogKills, sweep.quarantined);
+     *  distributed runs add sweep.netJoins and sweep.netLeaves. */
     const StatSet &hostStats() const { return hostStats_; }
 
     /** One-line wall/work summary of the last run. */
@@ -274,8 +270,7 @@ class ShardedSweep
      * slots, hand the rest to @p execute (never called when every slot
      * was served), and fire the ordered sink as the completed prefix
      * grows. hostStats() ends up with @p supervision as @p execute
-     * left it, plus sweep.points, sweep.wallMillis and, with a cache,
-     * sweep.journalHits.
+     * left it, plus sweep.points and sweep.wallMillis.
      */
     std::vector<ExperimentResult>
     runSupervised(const std::vector<GridPoint> &points, Shard shard,

@@ -2,7 +2,7 @@
  * @file
  * Fault-tolerant execution layer under harness::ShardedSweep — the
  * paper's checkpoint/recovery discipline applied to the harness's own
- * long-running sweeps (DESIGN.md §10, §15). Two pieces:
+ * long-running sweeps (DESIGN.md §10, §15).
  *
  * `Supervisor` is the one coordinator loop behind both process-boundary
  * executors: a single-threaded poll() over net::FrameChannel peers —
@@ -14,16 +14,12 @@
  * `ExperimentResult::quarantined` placeholder (a `failed` wire record
  * downstream) so the sweep completes around it instead of aborting.
  *
- * `Journal` is the crash-safe completion log behind `--journal` /
- * `--resume`: each completed point is appended as one fsync'd
- * canonical ndjson record, and a reload validates the header against
- * the current grid (bench, shard, gridHash), tolerates a torn final
- * line (dropped), and serves already-completed points without
- * re-simulating them — which doubles as a result cache across repeated
- * bench invocations.
+ * A killed sweep restarts from the ResultCache (result_cache.hh):
+ * rerunning it with the same `--cache` serves every completed point
+ * and deals only the rest.
  *
  * Determinism contract: a result is byte-identical whether it came
- * from a first-try worker, a retried worker, or the journal; only
+ * from a first-try worker, a retried worker, or the cache; only
  * host-side timing (stderr) differs.
  */
 
@@ -32,13 +28,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/stats.hh"
-#include "harness/append_log.hh"
 #include "harness/net.hh"
 #include "harness/wire.hh"
 
@@ -155,71 +148,6 @@ class Supervisor
                    StatSet &stats);
 
     Options options_;
-};
-
-/**
- * Crash-safe sweep completion log: a manifest header identifying the
- * grid, then one fsync'd `result`/`failed` ndjson record per completed
- * point, appended in completion order.
- */
-class Journal
-{
-  public:
-    /**
-     * Open @p path for the sweep @p bench is about to run over
-     * @p grid (shard @p shard of it). With @p resume, an existing
-     * journal is validated — bench name, shard, grid size, and
-     * gridHash must match, else fatal() — and its completed results
-     * load into entries(); a torn final line (no trailing newline or
-     * unparseable tail) is dropped, and `failed` records are skipped
-     * so quarantined points rerun. Without @p resume, or when the
-     * file is missing/empty, the journal starts fresh with a new
-     * header. fatal()s on I/O errors or a corrupt (non-tail) record.
-     */
-    void open(const std::string &path, bool resume,
-              const std::string &bench, std::uint64_t shard_index,
-              std::uint64_t shard_count,
-              const std::vector<GridPoint> &grid);
-
-    /** Completed points loaded from the journal, by grid index. */
-    const std::map<std::size_t, ExperimentResult> &entries() const
-    {
-        return entries_;
-    }
-
-    /** True after open() — including after a write-failure degrade
-     *  (loaded entries are still served; only appends stopped). */
-    bool isOpen() const { return log_.isOpen(); }
-
-    /** The backing file was disabled by a failed append/fsync. */
-    bool degraded() const { return log_.degraded(); }
-
-    /** Test hook: make the next append fail as if the disk were full
-     *  (exercises the ENOSPC degrade path without a full disk). */
-    void failNextWriteForTest();
-
-    /**
-     * Append one completed point (fsync'd before returning), as a
-     * `result` record — or a `failed` record when
-     * @p result.failed. Thread-safe: in-process sweeps append from
-     * worker threads. A failed append (ENOSPC, EIO) disables the
-     * journal with a one-line warning instead of killing the sweep:
-     * the run completes, it just cannot be resumed past this point.
-     */
-    void record(std::size_t gridIndex, const ExperimentResult &result);
-
-    /** Records appended by this process (excludes loaded entries). */
-    std::uint64_t appended() const { return appended_; }
-
-    void close();
-
-  private:
-    std::mutex mutex_;
-    AppendLog log_{"journal", "journaling disabled — the sweep "
-                              "continues but cannot resume past this "
-                              "point"};
-    std::uint64_t appended_ = 0;
-    std::map<std::size_t, ExperimentResult> entries_;
 };
 
 } // namespace acr::harness

@@ -153,10 +153,6 @@ envelope(const char *type)
 Json
 encodeConfig(const ExperimentConfig &config)
 {
-    if (config.trace != nullptr)
-        throw SerdeError("ExperimentConfig with a trace sink cannot be "
-                         "serialized (host memory does not survive a "
-                         "process boundary)");
     Json json = Json::object();
     json.set("mode", modeName(config.mode))
         .set("coordination", coordinationName(config.coordination))
@@ -209,7 +205,6 @@ decodeConfig(const Json &json)
     config.storageErrors =
         asUnsigned(reader.require("storageErrors"), "storageErrors");
     config.storageFaultMask = reader.requireUint("storageFaultMask");
-    config.trace = nullptr;
     reader.finish();
     return config;
 }

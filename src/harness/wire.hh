@@ -57,8 +57,6 @@ inline constexpr std::uint64_t kVersion = 7;
 
 // --- Value encodings (no version envelope; record lines add it) ---
 
-/** Encode a config. The trace sink is host memory and cannot cross a
- *  process boundary: non-null trace throws SerdeError. */
 serde::Json encodeConfig(const ExperimentConfig &config);
 ExperimentConfig decodeConfig(const serde::Json &json);
 
@@ -97,8 +95,8 @@ struct ResultRecord
 /**
  * A point the supervisor quarantined after exhausting its retries:
  * the sweep completed around it, and the failure travels through the
- * result stream (shard files, journals) as an explicit record instead
- * of aborting the whole run.
+ * result stream (shard files) as an explicit record instead of
+ * aborting the whole run.
  */
 struct FailedRecord
 {

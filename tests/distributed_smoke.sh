@@ -14,9 +14,9 @@
 #     FAILED table cell, exit 3, never a hang;
 #   * a warm --cache rerun is served 100% coordinator-side (0 misses,
 #     no worker needed);
-#   * a coordinator killed mid-sweep whose --journal tail is then torn
-#     mid-record restarts with --resume on the same port, the torn
-#     point re-dealt to workers that reconnect on their own;
+#   * a coordinator killed mid-sweep whose --cache tail is then torn
+#     mid-record restarts with the same --cache on the same port, the
+#     torn point re-dealt to workers that reconnect on their own;
 #   * exit codes keep their precedence (0 < 3 quarantine < 4 oracle
 #     divergence) when transport-fault quarantines and oracle
 #     divergences coexist in one distributed sweep.
@@ -187,40 +187,41 @@ expect_identical "$OUT/reference.txt" "$OUT/warm.txt" \
 expect_match "$OUT/warm.err" "cache: [0-9]+ hit\(s\), 0 miss\(es\)" \
     "warm rerun must be 100% cache hits"
 
-# --- Torn journal across a coordinator restart: the coordinator dies
-#     after two fsync'd completions, the journal tail is then torn
-#     mid-record, and the --resume restart on the same port serves the
-#     one durable record while the workers — still inside their
-#     reconnect window — re-join on their own and rerun the rest ---
+# --- Torn cache across a coordinator restart: the coordinator dies
+#     after two fsync'd cache appends, the cache tail is then torn
+#     mid-record, and the restart with the same --cache on the same
+#     port serves the one durable entry while the workers — still
+#     inside their reconnect window — re-join on their own and rerun
+#     the rest ---
 ACR_TEST_COORD_EXIT_AFTER=2 \
     "$BENCH" --workloads=$WORKLOADS --listen=127.0.0.1:0 --heartbeat=2 \
-    --journal="$OUT/sweep.journal" \
+    --cache="$OUT/restart.cache" \
     > "$OUT/half.txt" 2> "$OUT/half.err" &
 coord=$!
-port=$(wait_port "$OUT/half.err") || die "journal: no listening line"
+port=$(wait_port "$OUT/half.err") || die "restart: no listening line"
 workers=()
 for i in 1 2; do
     "$BENCH" --workloads=$WORKLOADS --connect=127.0.0.1:$port \
-        --heartbeat=2 2> "$OUT/journal_w$i.err" &
+        --heartbeat=2 2> "$OUT/restart_w$i.err" &
     workers+=($!)
 done
-expect_exit $coord 7 "journaling coordinator (test-hook exit)"
-size=$(stat -c %s "$OUT/sweep.journal")
-head -c $((size - 40)) "$OUT/sweep.journal" > "$OUT/sweep.torn" \
-    && mv "$OUT/sweep.torn" "$OUT/sweep.journal"
+expect_exit $coord 7 "caching coordinator (test-hook exit)"
+size=$(stat -c %s "$OUT/restart.cache")
+head -c $((size - 40)) "$OUT/restart.cache" > "$OUT/restart.torn" \
+    && mv "$OUT/restart.torn" "$OUT/restart.cache"
 "$BENCH" --workloads=$WORKLOADS --listen=127.0.0.1:$port --heartbeat=2 \
-    --journal="$OUT/sweep.journal" --resume \
-    > "$OUT/resumed.txt" 2> "$OUT/resumed.err" &
+    --cache="$OUT/restart.cache" \
+    > "$OUT/restarted.txt" 2> "$OUT/restarted.err" &
 coord=$!
-expect_exit $coord 0 "resumed coordinator"
+expect_exit $coord 0 "restarted coordinator"
 for i in 0 1; do
     expect_exit "${workers[$i]}" 0 "reconnecting worker $((i + 1))"
 done
-expect_identical "$OUT/reference.txt" "$OUT/resumed.txt" \
-    "torn-journal resumed distributed sweep"
-expect_match "$OUT/resumed.err" "torn" "torn-record warning"
-expect_match "$OUT/resumed.err" "journal: served 1 of" \
-    "resume must serve only the durable prefix"
+expect_identical "$OUT/reference.txt" "$OUT/restarted.txt" \
+    "torn-cache restarted distributed sweep"
+expect_match "$OUT/restarted.err" "torn" "torn-record warning"
+expect_match "$OUT/restarted.err" "cache: 1 hit\(s\)" \
+    "restart must serve only the durable prefix"
 
 # --- Exit-code precedence under transport faults: an oracle
 #     divergence (exit 4) must render byte-identically over TCP and
@@ -268,5 +269,5 @@ done
 expect_match "$OUT/mixed.err" "quarantin" \
     "mixed sweep quarantine report"
 
-echo "distributed smoke: chaos, quarantine, cache, torn journal," \
-     "and exit precedence all hold over TCP" >&2
+echo "distributed smoke: chaos, quarantine, cache, torn-cache" \
+     "restart, and exit precedence all hold over TCP" >&2

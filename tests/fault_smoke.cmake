@@ -10,10 +10,10 @@
 #     its point retried, same byte-identical contract;
 #   * a point failing every attempt is quarantined: the table renders a
 #     FAILED cell and the process exits 3 instead of aborting;
-#   * a sweep killed mid-run resumes from its --journal without
-#     re-simulating completed points (run counts checked via the
-#     "journal: served X of Y" stderr stat), including after the
-#     journal's final line is torn.
+#   * a sweep killed mid-run restarts by rerunning it with the same
+#     --cache, without re-simulating completed points (run counts
+#     checked via the "cache: N hit(s)" stderr stat). Warm reruns and
+#     the torn-tail drop are covered by tests/cache_smoke.cmake.
 #
 # Invoke with
 #   cmake -DBENCH=<path> -DWORKLOADS=<a,b> -DOUT=<scratch dir>
@@ -89,44 +89,18 @@ run_case("${OUT}/quarantine.txt" "${OUT}/quarantine.err" 3
 expect_match("${OUT}/quarantine.txt" "FAILED" "quarantined table cell")
 expect_match("${OUT}/quarantine.err" "quarantin" "quarantine report")
 
-# --- Journaled resume: coordinator dies after 2 completions, the
-#     rerun serves those 2 from the journal and finishes the rest ---
+# --- Restart from the cache: the coordinator dies after 2 cache
+#     appends, and the same command without the hook serves those 2
+#     from the cache and finishes the rest ---
 run_case("${OUT}/half.txt" "${OUT}/half.err" 7
          "ACR_TEST_COORD_EXIT_AFTER=2" --forks=2
-         "--journal=${OUT}/sweep.journal")
-run_case("${OUT}/resumed.txt" "${OUT}/resumed.err" 0 ""
-         --forks=2 "--journal=${OUT}/sweep.journal" --resume)
-expect_identical("${OUT}/reference.txt" "${OUT}/resumed.txt"
-                 "journal-resumed forked sweep")
-expect_match("${OUT}/resumed.err" "journal: served 2 of"
-             "resume must serve exactly the journaled completions")
-
-# --- Full cache: a completed journal serves every owned point ---
-run_case("${OUT}/cached.txt" "${OUT}/cached.err" 0 ""
-         --jobs=2 "--journal=${OUT}/sweep.journal" --resume)
-expect_identical("${OUT}/reference.txt" "${OUT}/cached.txt"
-                 "fully-cached rerun")
-file(READ "${OUT}/cached.err" cached_err)
-string(REGEX MATCH "journal: served ([0-9]+) of ([0-9]+)" _
-       "${cached_err}")
-if(NOT CMAKE_MATCH_1 OR NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_2)
-    message(FATAL_ERROR
-            "fully-cached rerun re-simulated points (served "
-            "${CMAKE_MATCH_1} of ${CMAKE_MATCH_2}):\n${cached_err}")
-endif()
-
-# --- Torn tail: chop the journal mid-record; the torn line is
-#     dropped, that point reruns, output still identical ---
-file(READ "${OUT}/sweep.journal" journal)
-string(LENGTH "${journal}" journal_len)
-math(EXPR keep "${journal_len} - 40")
-string(SUBSTRING "${journal}" 0 ${keep} torn)
-file(WRITE "${OUT}/sweep.journal" "${torn}")
-run_case("${OUT}/torn.txt" "${OUT}/torn.err" 0 ""
-         --forks=2 "--journal=${OUT}/sweep.journal" --resume)
-expect_identical("${OUT}/reference.txt" "${OUT}/torn.txt"
-                 "torn-tail resumed sweep")
-expect_match("${OUT}/torn.err" "torn" "torn-tail warning")
+         "--cache=${OUT}/sweep.cache")
+run_case("${OUT}/restarted.txt" "${OUT}/restarted.err" 0 ""
+         --forks=2 "--cache=${OUT}/sweep.cache")
+expect_identical("${OUT}/reference.txt" "${OUT}/restarted.txt"
+                 "cache-restarted forked sweep")
+expect_match("${OUT}/restarted.err" "cache: 2 hit\\(s\\)"
+             "restart must serve exactly the cached completions")
 
 # --- Merging shards that contain failed records: the merged render
 #     shows FAILED cells and exits 3, same as a live quarantine ---
@@ -139,14 +113,6 @@ expect_match("${OUT}/fmerged.txt" "FAILED"
              "merged FAILED table cell")
 expect_match("${OUT}/fmerged.err" "quarantin"
              "merged quarantine report")
-
-# --- In-process journal writes (threaded Journal::record path) ---
-run_case("${OUT}/inproc.txt" "${OUT}/inproc.err" 0 ""
-         --jobs=2 "--journal=${OUT}/inproc.journal")
-run_case("${OUT}/inproc_resumed.txt" "${OUT}/inproc_resumed.err" 0 ""
-         --jobs=1 "--journal=${OUT}/inproc.journal" --resume)
-expect_identical("${OUT}/reference.txt" "${OUT}/inproc_resumed.txt"
-                 "in-process journaled rerun")
 
 # --- Oracle-in-workers parity (needs -DTORTURE=<torture binary>): a
 #     fixture divergence (ACR_TEST_CORRUPT_RECOVERY) must surface
@@ -206,5 +172,5 @@ if(DEFINED TORTURE)
 endif()
 
 message(STATUS
-        "fault smoke: crash, watchdog, quarantine, and resume all "
+        "fault smoke: crash, watchdog, quarantine, and restart all "
         "render byte-identically")

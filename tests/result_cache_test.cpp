@@ -1,13 +1,16 @@
 /**
  * @file
- * ResultCache tests (DESIGN.md §11): content-addressed keying is
+ * ResultCache tests (DESIGN.md §10, §11): content-addressed keying is
  * position- and bench-independent, persisted entries round-trip
- * byte-exactly, quarantined results are never cached, and every
- * corruption mode — torn tail, flipped byte, stale cache or wire
- * version, garbage header — degrades to a miss (recompute), never a
- * crash. The end-to-end warm-replay and cross-bench determinism
- * contract is exercised against real bench binaries by
- * tests/cache_smoke.cmake.
+ * byte-exactly across repeated reopens (the restart of a killed
+ * sweep), quarantined results are never cached, concurrent inserts
+ * and counter reads are race-free, and every corruption mode — torn
+ * tail, flipped byte, stale cache or wire version, garbage header —
+ * degrades to a miss (recompute), never a crash. The end-to-end
+ * warm-replay and cross-bench determinism contract is exercised
+ * against real bench binaries by tests/cache_smoke.cmake, and the
+ * restart of a killed sweep by tests/fault_smoke.cmake and
+ * tests/distributed_smoke.sh.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/result_cache.hh"
@@ -104,6 +108,7 @@ TEST(ResultCacheTest, FreshInsertThenReopenServesByContent)
 {
     const auto grid = tinyGrid();
     const auto path = cachePath("fresh");
+    // A missing file opens as an empty cache.
     std::remove(path.c_str());
 
     {
@@ -124,16 +129,85 @@ TEST(ResultCacheTest, FreshInsertThenReopenServesByContent)
         EXPECT_EQ(cache.hits(), 1u);
     }
 
+    {
+        ResultCache reloaded;
+        reloaded.open(path);
+        EXPECT_EQ(reloaded.size(), 2u);
+        EXPECT_EQ(reloaded.inserts(), 0u);
+        // Content addressing: lookup works from a freshly built,
+        // distinct GridPoint object (different grid position,
+        // different "bench").
+        auto probe = tinyGrid()[2];
+        const auto *hit = reloaded.find(probe);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(dump(*hit), dump(fakeResult(300)));
+        EXPECT_EQ(reloaded.find(tinyGrid()[1]), nullptr);
+        // The reopened cache appends, so a second restart serves
+        // what the first one added.
+        reloaded.insert(grid[1], fakeResult(200));
+        EXPECT_EQ(reloaded.inserts(), 1u);
+    }
+
+    ResultCache full;
+    full.open(path);
+    EXPECT_EQ(full.size(), 3u);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const auto *hit = full.find(grid[i]);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(dump(*hit), dump(fakeResult(100 * (i + 1))));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, ConcurrentInsertsAndCounterReads)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kPerThread = 8;
+    const auto path = cachePath("concurrent");
+    std::remove(path.c_str());
+
+    // kThreads * kPerThread distinct points: the seed separates them.
+    std::vector<GridPoint> points;
+    for (unsigned i = 0; i < kThreads * kPerThread; ++i) {
+        ExperimentConfig config;
+        config.mode = BerMode::kCkpt;
+        config.seed = i;
+        points.push_back({"is", config, 2});
+    }
+
+    {
+        ResultCache cache;
+        cache.open(path);
+        // The in-process sweep inserts from worker threads while the
+        // completion hook reads inserts(); TSan checks the pairing.
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; ++t)
+            threads.emplace_back([&cache, &points, t] {
+                std::uint64_t seen = 0;
+                for (unsigned i = 0; i < kPerThread; ++i) {
+                    const unsigned index = t * kPerThread + i;
+                    cache.insert(points[index], fakeResult(index + 1));
+                    const std::uint64_t now = cache.inserts();
+                    EXPECT_GT(now, seen);
+                    seen = now;
+                }
+            });
+        for (auto &thread : threads)
+            thread.join();
+        EXPECT_EQ(cache.inserts(), kThreads * kPerThread);
+        EXPECT_EQ(cache.size(), kThreads * kPerThread);
+    }
+
     ResultCache reloaded;
     reloaded.open(path);
-    EXPECT_EQ(reloaded.size(), 2u);
-    // Content addressing: lookup works from a freshly built, distinct
-    // GridPoint object (different grid position, different "bench").
-    auto probe = tinyGrid()[2];
-    const auto *hit = reloaded.find(probe);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(dump(*hit), dump(fakeResult(300)));
-    EXPECT_EQ(reloaded.find(tinyGrid()[1]), nullptr);
+    EXPECT_EQ(reloaded.size(), kThreads * kPerThread);
+    for (unsigned i = 0; i < points.size(); ++i) {
+        const auto *hit = reloaded.find(points[i]);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(dump(*hit), dump(fakeResult(i + 1)));
+    }
+    EXPECT_EQ(reloaded.hits(), kThreads * kPerThread);
+    EXPECT_EQ(reloaded.misses(), 0u);
     std::remove(path.c_str());
 }
 

@@ -4,10 +4,13 @@
  * the forked fleet against stand-in workers that crash at startup or
  * wedge (one process per attempt, every child reaped), the quarantine
  * placeholder and its FAILED-cell rendering, the `failed` wire
- * record, and the crash-safe Journal — fresh/reload round trips,
- * torn-tail tolerance, failed-record rerun semantics, and grid
- * validation. The end-to-end crash/respawn/resume behavior against
- * real bench workers is exercised by tests/fault_smoke.cmake.
+ * record, and the restart journal of a killed sweep — the ResultCache
+ * seen by grid index (ResultCache::served): fresh/reload round trips
+ * through a real sweep, write-failure degrade, torn-tail tolerance
+ * and quarantined-point rerun semantics. The cache's own content
+ * keying and corruption ladder are tested in result_cache_test.cpp.
+ * The end-to-end crash/respawn/restart behavior against real bench
+ * workers is exercised by tests/fault_smoke.cmake.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/table.hh"
+#include "harness/result_cache.hh"
 #include "harness/sharded_sweep.hh"
 #include "harness/supervisor.hh"
 
@@ -65,12 +69,19 @@ dump(const ExperimentResult &result)
     return wire::encodeResult(result).dump();
 }
 
-/** Per-test journal path under gtest's temp dir. */
+/** Per-test journal (cache file) path under gtest's temp dir. */
 std::string
 journalPath(const std::string &tag)
 {
     return testing::TempDir() + "acr_journal_" + tag + "_" +
            std::to_string(::getpid()) + ".ndjson";
+}
+
+/** Every grid index, as an unsharded sweep owns them. */
+std::vector<std::size_t>
+allOwned(const std::vector<GridPoint> &grid)
+{
+    return ShardedSweep::shardIndices(grid.size(), {});
 }
 
 TEST(Backoff, DeterministicJitteredAndCapped)
@@ -213,89 +224,98 @@ TEST(WireFailed, RoundTripsAndResultEncodingRefusesQuarantine)
                  serde::SerdeError);
 }
 
+// JournalTest: a killed sweep restarts from its ResultCache (DESIGN.md
+// §10.3). Rerun with the same file, it is served by grid index every
+// point that reached the file (ResultCache::served, wired into
+// SweepControls as benchMain wires --cache) and simulates the rest.
+
 TEST(JournalTest, FreshThenResumeServesRecordedResults)
 {
     const auto grid = tinyGrid();
+    const auto owned = allOwned(grid);
     const auto path = journalPath("fresh");
+    std::remove(path.c_str());
 
     {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        ASSERT_TRUE(journal.isOpen());
-        EXPECT_TRUE(journal.entries().empty());
-        journal.record(0, fakeResult(100));
-        journal.record(2, fakeResult(300));
-        EXPECT_EQ(journal.appended(), 2u);
+        // The killed run: points 0 and 2 reached the file.
+        ResultCache cache;
+        cache.open(path);
+        ASSERT_TRUE(cache.isOpen());
+        EXPECT_TRUE(cache.served(grid, owned).empty());
+        cache.insert(grid[0], fakeResult(100));
+        cache.insert(grid[2], fakeResult(300));
+        EXPECT_EQ(cache.inserts(), 2u);
     }
 
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 2u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    EXPECT_EQ(dump(reloaded.entries().at(2)), dump(fakeResult(300)));
-    // The reopened journal appends, so resuming twice still works.
-    EXPECT_EQ(reloaded.appended(), 0u);
-    reloaded.record(1, fakeResult(200));
-    reloaded.close();
+    // The rerun serves the recorded points (the fake results prove
+    // they were not re-simulated) and only point 1 reaches the
+    // completion hook, which appends it.
+    ResultCache cache;
+    cache.open(path);
+    const auto served = cache.served(grid, owned);
+    ASSERT_EQ(served.size(), 2u);
+    std::vector<std::size_t> simulated;
+    ShardedSweep::SweepControls controls;
+    controls.cache = &served;
+    controls.completed = [&](std::size_t index,
+                             const ExperimentResult &result) {
+        simulated.push_back(index);
+        cache.insert(grid[index], result);
+    };
+    RunnerPool pool;
+    const auto results = ShardedSweep(pool, 1).run(grid, {}, controls);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(dump(results[0]), dump(fakeResult(100)));
+    EXPECT_EQ(dump(results[2]), dump(fakeResult(300)));
+    EXPECT_EQ(simulated, std::vector<std::size_t>{1});
+    EXPECT_FALSE(results[1].failed);
+    EXPECT_GT(results[1].cycles, 0u);
+    EXPECT_EQ(cache.inserts(), 1u);
+    cache.close();
 
-    Journal full;
-    full.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(full.entries().size(), 3u);
+    // The rerun appended, so restarting twice still works.
+    ResultCache full;
+    full.open(path);
+    const auto all = full.served(grid, owned);
+    ASSERT_EQ(all.size(), 3u);
+    EXPECT_EQ(dump(all.at(1)), dump(results[1]));
     std::remove(path.c_str());
 }
 
 TEST(JournalTest, WriteFailureDegradesInsteadOfDying)
 {
     const auto grid = tinyGrid();
+    const auto owned = allOwned(grid);
     const auto path = journalPath("enospc");
+    std::remove(path.c_str());
 
     {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
+        ResultCache cache;
+        cache.open(path);
+        cache.insert(grid[0], fakeResult(100));
 
         // The next append hits (injected) ENOSPC: the journal must
         // warn and degrade, not fatal() — a full disk may disable
-        // resumability but never kill the sweep itself.
-        journal.failNextWriteForTest();
-        journal.record(1, fakeResult(200));
-        EXPECT_TRUE(journal.degraded());
-        EXPECT_TRUE(journal.isOpen());
-        EXPECT_EQ(journal.appended(), 1u);  // only the durable one
+        // restarts but never kill the sweep itself.
+        cache.failNextWriteForTest();
+        cache.insert(grid[1], fakeResult(200));
+        EXPECT_TRUE(cache.degraded());
+        EXPECT_TRUE(cache.isOpen());
+        EXPECT_EQ(cache.inserts(), 1u);  // only the durable one
 
-        // Further records are silent no-ops, not crashes.
-        journal.record(2, fakeResult(300));
-        EXPECT_EQ(journal.appended(), 1u);
+        // Further appends are silent no-ops, not crashes.
+        cache.insert(grid[2], fakeResult(300));
+        EXPECT_EQ(cache.inserts(), 1u);
     }
 
-    // The file holds exactly the records appended before the failure:
-    // a clean durable prefix a --resume can still load (the lost
-    // points simply rerun).
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, WithoutResumeTruncatesExistingJournal)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("truncate");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-    }
-    Journal fresh;
-    fresh.open(path, false, "bench", 0, 1, grid);
-    EXPECT_TRUE(fresh.entries().empty());
-    fresh.close();
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    EXPECT_TRUE(reloaded.entries().empty());
+    // The file holds exactly the entries appended before the failure:
+    // a clean durable prefix a rerun can still load (the lost points
+    // simply rerun).
+    ResultCache reloaded;
+    reloaded.open(path);
+    const auto served = reloaded.served(grid, owned);
+    ASSERT_EQ(served.size(), 1u);
+    EXPECT_EQ(dump(served.at(0)), dump(fakeResult(100)));
     std::remove(path.c_str());
 }
 
@@ -305,27 +325,30 @@ TEST(JournalTest, ResumeWithMissingFileStartsFresh)
     const auto path = journalPath("missing");
     std::remove(path.c_str());
 
-    Journal journal;
-    journal.open(path, true, "bench", 0, 1, grid);
-    EXPECT_TRUE(journal.isOpen());
-    EXPECT_TRUE(journal.entries().empty());
-    journal.close();
+    ResultCache cache;
+    cache.open(path);
+    EXPECT_TRUE(cache.isOpen());
+    EXPECT_TRUE(cache.served(grid, allOwned(grid)).empty());
+    EXPECT_EQ(cache.misses(), grid.size());
+    cache.close();
     std::remove(path.c_str());
 }
 
 TEST(JournalTest, TornFinalLineIsDropped)
 {
     const auto grid = tinyGrid();
+    const auto owned = allOwned(grid);
     const auto path = journalPath("torn");
+    std::remove(path.c_str());
 
     {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-        journal.record(1, fakeResult(200));
+        ResultCache cache;
+        cache.open(path);
+        cache.insert(grid[0], fakeResult(100));
+        cache.insert(grid[1], fakeResult(200));
     }
     // Simulate the coordinator dying mid-append: chop the trailing
-    // newline and half the final record.
+    // newline and part of the final entry.
     std::string content;
     {
         std::ifstream in(path, std::ios::binary);
@@ -340,17 +363,19 @@ TEST(JournalTest, TornFinalLineIsDropped)
         out << content.substr(0, content.size() - 40);
     }
 
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    ASSERT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(dump(reloaded.entries().at(0)), dump(fakeResult(100)));
-    // Point 1 reruns and its fresh record appends cleanly.
-    reloaded.record(1, fakeResult(200));
+    ResultCache reloaded;
+    reloaded.open(path);
+    const auto served = reloaded.served(grid, owned);
+    ASSERT_EQ(served.size(), 1u);
+    EXPECT_EQ(dump(served.at(0)), dump(fakeResult(100)));
+    // Point 1 reruns and its fresh entry appends cleanly.
+    reloaded.insert(grid[1], fakeResult(200));
+    EXPECT_EQ(reloaded.inserts(), 1u);
     reloaded.close();
 
-    Journal full;
-    full.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(full.entries().size(), 2u);
+    ResultCache full;
+    full.open(path);
+    EXPECT_EQ(full.served(grid, owned).size(), 2u);
     std::remove(path.c_str());
 }
 
@@ -358,54 +383,22 @@ TEST(JournalTest, FailedRecordsAreSkippedSoQuarantinedPointsRerun)
 {
     const auto grid = tinyGrid();
     const auto path = journalPath("failed");
-
-    {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
-        journal.record(
-            1, ExperimentResult::quarantined(3, "killed by signal 9"));
-        EXPECT_EQ(journal.appended(), 2u);
-    }
-
-    Journal reloaded;
-    reloaded.open(path, true, "bench", 0, 1, grid);
-    EXPECT_EQ(reloaded.entries().size(), 1u);
-    EXPECT_EQ(reloaded.entries().count(1), 0u);
     std::remove(path.c_str());
-}
-
-TEST(JournalTest, ResumeValidatesBenchShardAndGrid)
-{
-    const auto grid = tinyGrid();
-    const auto path = journalPath("validate");
 
     {
-        Journal journal;
-        journal.open(path, false, "bench", 0, 1, grid);
-        journal.record(0, fakeResult(100));
+        ResultCache cache;
+        cache.open(path);
+        cache.insert(grid[0], fakeResult(100));
+        cache.insert(
+            grid[1], ExperimentResult::quarantined(3, "killed by signal 9"));
+        EXPECT_EQ(cache.inserts(), 1u);  // never stored
     }
 
-    EXPECT_EXIT(
-        {
-            Journal journal;
-            journal.open(path, true, "other", 0, 1, grid);
-        },
-        testing::ExitedWithCode(1), "belongs to bench");
-    EXPECT_EXIT(
-        {
-            Journal journal;
-            journal.open(path, true, "bench", 1, 2, grid);
-        },
-        testing::ExitedWithCode(1), "shard");
-    EXPECT_EXIT(
-        {
-            auto other = tinyGrid();
-            other.pop_back();
-            Journal journal;
-            journal.open(path, true, "bench", 0, 1, other);
-        },
-        testing::ExitedWithCode(1), "different grid");
+    ResultCache reloaded;
+    reloaded.open(path);
+    const auto served = reloaded.served(grid, allOwned(grid));
+    EXPECT_EQ(served.size(), 1u);
+    EXPECT_EQ(served.count(1), 0u);
     std::remove(path.c_str());
 }
 

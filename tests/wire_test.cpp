@@ -118,7 +118,6 @@ expectConfigEqual(const ExperimentConfig &a, const ExperimentConfig &b)
     EXPECT_EQ(a.backend, b.backend);
     EXPECT_EQ(a.storageErrors, b.storageErrors);
     EXPECT_EQ(a.storageFaultMask, b.storageFaultMask);
-    EXPECT_EQ(b.trace, nullptr);
 }
 
 TEST(WireConfig, RoundTripProperty)
@@ -133,14 +132,6 @@ TEST(WireConfig, RoundTripProperty)
         // Byte-stable re-encode: the merge-determinism substrate.
         EXPECT_EQ(wire::encodeConfig(decoded).dump(), encoded);
     }
-}
-
-TEST(WireConfig, TraceSinkCannotCrossProcessBoundary)
-{
-    EventTrace trace;
-    ExperimentConfig config;
-    config.trace = &trace;
-    EXPECT_THROW(wire::encodeConfig(config), SerdeError);
 }
 
 TEST(WireConfig, RejectsUnknownKeyAndBadEnums)
