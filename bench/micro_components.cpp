@@ -38,8 +38,9 @@ BM_CacheAccess(benchmark::State &state)
         line = rng.below(2048);
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.access(lines[i++ & 4095], (i & 3) == 0));
+        const LineId line = lines[i & 4095];
+        const bool write = (i++ & 3) == 0;
+        benchmark::DoNotOptimize(cache.access(line, write));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -69,7 +70,9 @@ BM_MainMemoryWrite(benchmark::State &state)
         addr = rng.below(1 << 20);
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(memory.write(addrs[i++ & 4095], i));
+        const Addr addr = addrs[i & 4095];
+        const Word value = i++;
+        benchmark::DoNotOptimize(memory.write(addr, value));
     }
     state.SetItemsProcessed(state.iterations());
 }

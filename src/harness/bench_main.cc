@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -67,11 +65,9 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
                   "local worker processes (fork/exec of this binary "
                   "with --worker; 0: in-process threads)");
     parser.addString("shard", "",
-                     "run only shard i of N ('i/N') and emit wire "
-                     "records instead of rendering");
-    parser.addString("merge", "",
-                     "comma-separated shard record files to merge and "
-                     "render");
+                     "run only shard i of N ('i/N') into --cache "
+                     "instead of rendering; render the concatenated "
+                     "legs' caches with --cache");
     parser.addFlag("worker",
                    "wire-protocol worker: read point frames on stdin, "
                    "write result frames to stdout (used by --forks)");
@@ -133,7 +129,6 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
         options.shardMode = true;
         options.shard = ShardedSweep::parseShard(shard);
     }
-    options.mergeFiles = splitCommaList(parser.getString("merge"));
     options.workerMode = parser.getFlag("worker");
     const std::string listen = parser.getString("listen");
     if (!listen.empty()) {
@@ -174,170 +169,37 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
               options.pointTimeout);
     options.cachePath = parser.getString("cache");
 
-    if (options.shardMode && !options.mergeFiles.empty())
-        fatal("--shard and --merge are mutually exclusive");
-    if (options.workerMode &&
-        (options.shardMode || !options.mergeFiles.empty()))
-        fatal("--worker does not combine with --shard/--merge");
+    if (options.workerMode && options.shardMode)
+        fatal("--worker does not combine with --shard");
     if (options.listenMode && options.connectMode)
         fatal("--listen and --connect are mutually exclusive (one "
               "process is either the coordinator or a worker)");
     if (options.listenMode &&
-        (options.workerMode || options.shardMode ||
-         !options.mergeFiles.empty() || options.forks > 0))
-        fatal("--listen does not combine with "
-              "--worker/--shard/--merge/--forks");
+        (options.workerMode || options.shardMode || options.forks > 0))
+        fatal("--listen does not combine with --worker/--shard/--forks");
     if (options.connectMode &&
-        (options.workerMode || options.shardMode ||
-         !options.mergeFiles.empty() || options.forks > 0))
+        (options.workerMode || options.shardMode || options.forks > 0))
         fatal("--connect does not combine with "
-              "--worker/--shard/--merge/--forks");
+              "--worker/--shard/--forks");
     if (options.connectMode && !options.cachePath.empty())
         fatal("--cache is coordinator-side; it does not combine with "
               "--connect");
-    if (!options.cachePath.empty() &&
-        (options.workerMode || !options.mergeFiles.empty()))
-        fatal("--cache only applies when this invocation sweeps "
-              "(not --worker/--merge)");
+    if (options.workerMode && !options.cachePath.empty())
+        fatal("--cache only applies when this invocation sweeps (not "
+              "--worker)");
     // ACR_CACHE is only a default for sweeping invocations: forked
     // --worker children and TCP --connect workers inherit the
     // environment, but lookups are coordinator-side by design (cached
     // points are never dealt out).
     if (options.cachePath.empty() && !options.workerMode &&
-        !options.connectMode && options.mergeFiles.empty())
+        !options.connectMode)
         if (const char *env = std::getenv("ACR_CACHE"))
             options.cachePath = env;
+    if (options.shardMode && options.cachePath.empty())
+        fatal("--shard needs --cache=FILE (or $ACR_CACHE): a shard leg "
+              "stores its results there, and the legs' files, "
+              "concatenated, are what --cache renders");
     return options;
-}
-
-/**
- * Load shard record files, verify they are a complete, disjoint cover
- * of exactly this grid (same point count, same gridHash, every shard
- * of the declared partition present once), and return the results in
- * grid order.
- */
-std::vector<ExperimentResult>
-mergeShardFiles(const BenchSpec &spec,
-                const std::vector<GridPoint> &grid,
-                const std::vector<std::string> &files)
-{
-    const std::uint64_t expect_hash = wire::gridHash(grid);
-    std::vector<ExperimentResult> results(grid.size());
-    std::vector<bool> filled(grid.size(), false);
-    std::set<std::uint64_t> shards_seen;
-    std::uint64_t shard_count = 0;
-
-    for (const auto &file : files) {
-        std::ifstream in(file);
-        if (!in)
-            fatal("cannot open shard file '%s'", file.c_str());
-        std::string line;
-        bool have_manifest = false;
-        std::uint64_t file_shard = 0;
-        std::size_t line_number = 0;
-        while (std::getline(in, line)) {
-            ++line_number;
-            if (line.empty())
-                continue;
-            wire::Record record;
-            try {
-                record = wire::decodeLine(line);
-            } catch (const serde::SerdeError &error) {
-                fatal("%s:%zu: %s", file.c_str(), line_number,
-                      error.what());
-            }
-            if (record.type == wire::Record::Type::kManifest) {
-                const auto &manifest = record.manifest;
-                if (have_manifest)
-                    fatal("%s: second manifest record", file.c_str());
-                have_manifest = true;
-                if (manifest.bench != spec.name)
-                    fatal("%s: records belong to bench '%s', not "
-                          "'%s'",
-                          file.c_str(), manifest.bench.c_str(),
-                          spec.name.c_str());
-                if (manifest.gridPoints != grid.size() ||
-                    manifest.gridHash != expect_hash)
-                    fatal("%s: shard was produced from a different "
-                          "grid (points %llu vs %zu; check that "
-                          "--workloads and bench flags match)",
-                          file.c_str(),
-                          static_cast<unsigned long long>(
-                              manifest.gridPoints),
-                          grid.size());
-                if (shard_count == 0)
-                    shard_count = manifest.shardCount;
-                else if (shard_count != manifest.shardCount)
-                    fatal("%s: shard declares 1/%llu but earlier "
-                          "files declared 1/%llu",
-                          file.c_str(),
-                          static_cast<unsigned long long>(
-                              manifest.shardCount),
-                          static_cast<unsigned long long>(
-                              shard_count));
-                if (!shards_seen.insert(manifest.shard).second)
-                    fatal("%s: shard %llu appears twice",
-                          file.c_str(),
-                          static_cast<unsigned long long>(
-                              manifest.shard));
-                file_shard = manifest.shard;
-                continue;
-            }
-            // A shard stream carries its quarantined points as
-            // explicit `failed` records; merging turns them back into
-            // quarantine placeholders so the rendered table shows
-            // FAILED cells instead of the merge aborting.
-            const bool quarantine =
-                record.type == wire::Record::Type::kFailed;
-            if (record.type != wire::Record::Type::kResult &&
-                !quarantine)
-                fatal("%s:%zu: unexpected record type", file.c_str(),
-                      line_number);
-            if (!have_manifest)
-                fatal("%s: result record before the manifest",
-                      file.c_str());
-            const std::uint64_t index = quarantine
-                                            ? record.failed.index
-                                            : record.result.index;
-            if (index >= grid.size())
-                fatal("%s:%zu: result index %llu out of range",
-                      file.c_str(), line_number,
-                      static_cast<unsigned long long>(index));
-            if (index % shard_count != file_shard)
-                fatal("%s:%zu: result index %llu does not belong to "
-                      "shard %llu/%llu",
-                      file.c_str(), line_number,
-                      static_cast<unsigned long long>(index),
-                      static_cast<unsigned long long>(file_shard),
-                      static_cast<unsigned long long>(shard_count));
-            if (filled[index])
-                fatal("%s:%zu: duplicate result for index %llu",
-                      file.c_str(), line_number,
-                      static_cast<unsigned long long>(index));
-            if (quarantine)
-                results[index] = ExperimentResult::quarantined(
-                    static_cast<unsigned>(record.failed.attempts),
-                    record.failed.reason);
-            else
-                results[index] = std::move(record.result.result);
-            filled[index] = true;
-        }
-        if (!have_manifest)
-            fatal("%s: no manifest record", file.c_str());
-    }
-
-    for (std::uint64_t shard = 0; shard < shard_count; ++shard)
-        if (!shards_seen.count(shard))
-            fatal("shard %llu/%llu is missing from --merge",
-                  static_cast<unsigned long long>(shard),
-                  static_cast<unsigned long long>(shard_count));
-    for (std::size_t i = 0; i < filled.size(); ++i)
-        if (!filled[i])
-            fatal("no result for grid point %zu (workload '%s', "
-                  "config %s)",
-                  i, grid[i].workload.c_str(),
-                  grid[i].config.label().c_str());
-    return results;
 }
 
 /**
@@ -408,9 +270,9 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     ACR_ASSERT(!grid.empty(), "bench grid is empty");
 
     // --backend rewrites the grid before anything derives from it
-    // (gridHash, manifests, cache keys), so every mode —
-    // jobs, forks, shard, merge — agrees on the same points and the
-    // ResultCache distinguishes backends by content. NoCkpt points
+    // (gridHash, cache keys), so every mode — jobs, forks, listen,
+    // shard — agrees on the same points and the ResultCache
+    // distinguishes backends by content. NoCkpt points
     // keep the default: they store nothing, and validate() rejects a
     // non-log backend on them.
     if (options.backendOverride)
@@ -425,19 +287,6 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
         return ShardedSweep::netWorkerLoop(pool, spec.name, grid,
                                            options.connect,
                                            options.heartbeatSec);
-
-    if (!options.mergeFiles.empty()) {
-        const auto results =
-            mergeShardFiles(spec, grid, options.mergeFiles);
-        spec.render(context, results);
-        int code = quarantineExit(
-            grid, ShardedSweep::shardIndices(grid.size(), {}),
-            results);
-        if (spec.exitCode)
-            code = combineExitCodes(code,
-                                    spec.exitCode(context, results));
-        return code;
-    }
 
     ShardedSweep sweep(pool, options.jobs);
     const std::vector<std::string> worker_cmd = {
@@ -472,8 +321,9 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     // Coordinator-side serving map, by grid index: the owned points
     // the cache holds by content. It feeds SweepControls::cache, so a
     // served point is never dealt to a worker — in-process, forked,
-    // or sharded mode alike — and a rerun of a killed sweep redoes
-    // only what never reached the file.
+    // or sharded mode alike — and a rerun of a killed sweep, or the
+    // render of a sharded one, redoes only what never reached the
+    // file.
     std::map<std::size_t, ExperimentResult> served;
     if (cache.isOpen()) {
         served = cache.served(grid, owned);
@@ -484,31 +334,6 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
             cache.insert(grid[index], result);
             if (exit_after != 0 && cache.inserts() >= exit_after)
                 ::_exit(7);
-        };
-    }
-
-    if (options.shardMode) {
-        // Emit this shard's slice as wire records: a manifest line,
-        // then one result (or failed) line per owned point, streamed
-        // in grid order as results land.
-        wire::ManifestRecord manifest;
-        manifest.bench = spec.name;
-        manifest.shard = options.shard.index;
-        manifest.shardCount = options.shard.count;
-        manifest.gridPoints = grid.size();
-        manifest.gridHash = wire::gridHash(grid);
-        std::cout << wire::encodeManifestLine(manifest) << "\n"
-                  << std::flush;
-        controls.sink = [&](std::size_t index,
-                            const ExperimentResult &result) {
-            std::cout << (result.failed
-                              ? wire::encodeFailedLine(
-                                    {index, result.attempts,
-                                     result.failReason})
-                              : wire::encodeResultLine(
-                                    {index, result}))
-                      << "\n"
-                      << std::flush;
         };
     }
 
@@ -527,6 +352,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
                   << cache.misses() << " miss(es), "
                   << cache.inserts() << " insert(s) in '"
                   << options.cachePath << "'\n";
+    // A shard leg renders nothing: its output is its cache file.
     if (!options.shardMode)
         spec.render(context, results);
     int code = quarantineExit(grid, owned, results);

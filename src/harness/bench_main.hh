@@ -10,10 +10,10 @@
  *   --forks=N       local multi-process mode: fork/exec N `--worker`
  *                   children of this same binary
  *   --shard=i/N     static machine-level sharding: run only this
- *                   shard's grid points and emit wire records
- *                   (manifest + results) instead of rendering
- *   --merge=a,b,... read shard record files, verify they cover this
- *                   exact grid, and render the normal output
+ *                   shard's grid points into --cache (required) and
+ *                   print nothing; concatenating the legs' cache
+ *                   files and running with --cache on the result
+ *                   renders the whole grid (DESIGN.md §8.3)
  *   --worker        wire-protocol worker (point frames on stdin,
  *                   result frames on stdout — one socketpair end);
  *                   used by --forks
@@ -58,11 +58,13 @@
  *
  * Determinism contract: for a fixed grid, the rendered output of
  * `--jobs=1`, `--jobs=N`, `--forks=N`, `--listen` (any TCP fleet,
- * however it churned), and `--shard`-then-`--merge` is byte-identical
- * (host timing goes to stderr) — including when points were retried
- * after worker crashes, transport faults, or disconnections, or
- * served from the content-addressed result cache.
- * A sweep with quarantined points renders FAILED cells and exits 3.
+ * however it churned), and `--cache` over the concatenated cache
+ * files of `--shard` legs is byte-identical (host timing goes to
+ * stderr) — including when points were retried after worker crashes,
+ * transport faults, or disconnections, or served from the
+ * content-addressed result cache. A sweep with quarantined points
+ * renders FAILED cells and exits 3; a shard leg with one exits 3 and
+ * does not store it, so the render retries it.
  */
 
 #ifndef ACR_HARNESS_BENCH_MAIN_HH
@@ -86,7 +88,7 @@ struct BenchOptions
     unsigned jobs = 0;   ///< 0: ShardedSweep::defaultJobs()
     unsigned forks = 0;  ///< >0: local fork/exec worker processes
     ShardedSweep::Shard shard{};
-    bool shardMode = false;   ///< --shard given: emit wire records
+    bool shardMode = false;   ///< --shard given: fill --cache, no render
     bool workerMode = false;  ///< --worker
     bool listenMode = false;  ///< --listen given: TCP coordinator
     net::Endpoint listen;     ///< parsed --listen endpoint
@@ -94,8 +96,7 @@ struct BenchOptions
     net::Endpoint connect;     ///< parsed --connect endpoint
     unsigned heartbeatSec = 5;  ///< --heartbeat (forked and TCP)
     TableFormat format = TableFormat::kTable;
-    std::vector<std::string> workloads;   ///< resolved selection
-    std::vector<std::string> mergeFiles;  ///< --merge given: render
+    std::vector<std::string> workloads;  ///< resolved selection
 
     /** --backend given: force this store on every checkpointing grid
      *  point (NoCkpt points keep kLog — they store nothing). */
@@ -155,7 +156,7 @@ class BenchContext
 /** A bench binary, declaratively. */
 struct BenchSpec
 {
-    /** Program name (usage text, shard manifests). */
+    /** Program name (usage text, the --listen handshake). */
     std::string name;
 
     /** Workload axis when --workloads is absent; empty means every
@@ -167,7 +168,7 @@ struct BenchSpec
 
     /** Render results; results[i] belongs to grid point i. Must be a
      *  pure function of the results and the (deterministic) Runner
-     *  caches so merged/sharded output stays byte-identical. */
+     *  caches so cached/sharded output stays byte-identical. */
     std::function<void(BenchContext &,
                        const std::vector<ExperimentResult> &)>
         render;
@@ -184,8 +185,8 @@ struct BenchSpec
     std::function<void(const OptionParser &)> readOptions;
 
     /** Pick an extra exit code from the rendered results (optional).
-     *  Called wherever render is (sweep and merge modes, not shard or
-     *  worker); the process exits with max(quarantine code, this). */
+     *  Called wherever render is (not in shard or worker mode); the
+     *  process exits with max(quarantine code, this). */
     std::function<int(BenchContext &,
                       const std::vector<ExperimentResult> &)>
         exitCode;

@@ -330,7 +330,7 @@ BerRuntime::run(const isa::Program &program,
     // An unrecoverable run never reached its final state — there is
     // nothing to verify against the reference; the structured outcome
     // (exit 5 upstream) is the verdict.
-    if (config.verifyFinalState && !result.unrecoverable) {
+    if (!result.unrecoverable) {
         if (oracle) {
             // With the oracle on, a diverged final image is one more
             // structured finding, not a process abort.

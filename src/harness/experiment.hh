@@ -88,10 +88,6 @@ struct ExperimentConfig
     /** Seed for error masks. */
     std::uint64_t seed = 0xacce55ULL;
 
-    /** Panic if the final memory state diverges from the error-free
-     *  reference (always sound: recovery must be transparent). */
-    bool verifyFinalState = true;
-
     /**
      * Attach the RecoveryOracle: differentially validate every
      * recovery and report structured divergences in the result instead
@@ -161,8 +157,10 @@ struct ExperimentResult
      * for this grid point, so the slot holds a placeholder instead of
      * a measurement. The numeric payload is NaN-poisoned so every
      * derived metric a bench computes from it renders as a FAILED
-     * table cell; the wire layer refuses to encode it as a `result`
-     * record (it travels as an explicit `failed` record instead).
+     * table cell. It never leaves the coordinator: the wire layer
+     * refuses to encode it and the result cache does not store it, so
+     * the next run (a rerun, or the render of a sharded sweep) retries
+     * the point.
      */
     bool failed = false;
     /** Worker attempts consumed (meaningful when failed). */

@@ -20,15 +20,59 @@ headerLine()
     return json.dump();
 }
 
+/** Why @p line is not a header this build reads; "" when it is. */
 std::string
-entryLine(const std::string &point_dump, std::uint64_t key,
+headerProblem(const std::string &line)
+{
+    try {
+        serde::Json json = serde::Json::parse(line);
+        serde::ObjectReader reader(json, "cache header");
+        const std::string type = reader.requireString("type");
+        const std::uint64_t cachev = reader.requireUint("cachev");
+        const std::uint64_t wirev = reader.requireUint("wirev");
+        reader.finish();
+        if (type != "acr-cache" || cachev != ResultCache::kCacheVersion)
+            return "unrecognized header";
+        if (wirev != wire::kVersion)
+            return csprintf("entries use wire v%llu but this build "
+                            "speaks v%llu",
+                            static_cast<unsigned long long>(wirev),
+                            static_cast<unsigned long long>(
+                                wire::kVersion));
+        return "";
+    } catch (const serde::SerdeError &error) {
+        return csprintf("unreadable header (%s)", error.what());
+    }
+}
+
+/** True when @p json is a header line (valid or not), which starts a
+ *  segment: concatenated cache files keep every file's header. */
+bool
+isHeader(const serde::Json &json)
+{
+    const serde::Json *type = json.find("type");
+    return type != nullptr && type->kind() == serde::Json::Kind::kString &&
+           type->asString() == "acr-cache";
+}
+
+/** An entry's check: the point's content hash continued over the
+ *  result's encoding, so a change to either half is a miss. */
+std::uint64_t
+entryCheck(const GridPoint &point, const std::string &result_dump)
+{
+    return wire::fnv1a(result_dump, wire::pointHash(point));
+}
+
+std::string
+entryLine(const GridPoint &point, const std::string &point_dump,
           const ExperimentResult &result)
 {
+    serde::Json encoded = wire::encodeResult(result);
     serde::Json json = serde::Json::object();
     json.set("type", "entry")
-        .set("key", key)
+        .set("key", entryCheck(point, encoded.dump()))
         .set("point", serde::Json::parse(point_dump))
-        .set("result", wire::encodeResult(result));
+        .set("result", std::move(encoded));
     return json.dump();
 }
 
@@ -40,48 +84,43 @@ ResultCache::open(const std::string &path)
     std::lock_guard<std::mutex> lock(mutex_);
     const std::vector<std::string> lines = log_.load(path);
 
-    // Validate the header. Anything unrecognized — garbage, a future
-    // cache schema, records encoded under a different wire version —
-    // makes the whole file cold: every lookup misses, the sweep
-    // recomputes, and the file is re-headed for this build.
-    bool cold = lines.empty();
-    if (!cold) {
-        try {
-            serde::Json json = serde::Json::parse(lines.front());
-            serde::ObjectReader reader(json, "cache header");
-            const std::string type = reader.requireString("type");
-            const std::uint64_t cachev = reader.requireUint("cachev");
-            const std::uint64_t wirev = reader.requireUint("wirev");
-            reader.finish();
-            if (type != "acr-cache" || cachev != kCacheVersion) {
-                warn("cache '%s': unrecognized header; starting cold",
-                     path.c_str());
-                cold = true;
-            } else if (wirev != wire::kVersion) {
-                warn("cache '%s': entries use wire v%llu but this "
-                     "build speaks v%llu; starting cold",
-                     path.c_str(),
-                     static_cast<unsigned long long>(wirev),
-                     static_cast<unsigned long long>(wire::kVersion));
-                cold = true;
-            }
-        } catch (const serde::SerdeError &error) {
-            warn("cache '%s': unreadable header (%s); starting cold",
-                 path.c_str(), error.what());
-            cold = true;
-        }
+    // Validate the first header. Anything unrecognized — garbage, a
+    // future cache schema, records encoded under a different wire
+    // version — makes the whole file cold: every lookup misses, the
+    // sweep recomputes, and the file is re-headed for this build.
+    if (lines.empty()) {
+        log_.create(path, headerLine());
+        return;
     }
-
-    if (cold) {
+    if (const std::string problem = headerProblem(lines.front());
+        !problem.empty()) {
+        warn("cache '%s': %s; starting cold", path.c_str(),
+             problem.c_str());
         log_.create(path, headerLine());
         return;
     }
 
+    // A later header starts a segment (the next concatenated file) and
+    // is validated like the first: one this build reads is skipped,
+    // and the entries after one it rejects are not served.
+    bool serving = true;
     for (std::size_t i = 1; i < lines.size(); ++i) {
-        // One bad entry (flipped byte, schema drift, key/point
-        // mismatch) is a miss for that experiment, not a dead cache.
+        // One bad entry (flipped byte, schema drift, a check that no
+        // longer matches) is a miss for that experiment, not a dead
+        // cache.
         try {
             serde::Json json = serde::Json::parse(lines[i]);
+            if (isHeader(json)) {
+                const std::string problem = headerProblem(lines[i]);
+                serving = problem.empty();
+                if (!serving)
+                    warn("cache '%s': line %zu: %s; not serving the "
+                         "entries after it",
+                         path.c_str(), i + 1, problem.c_str());
+                continue;
+            }
+            if (!serving)
+                continue;
             serde::ObjectReader reader(json, "cache entry");
             if (reader.requireString("type") != "entry")
                 throw serde::SerdeError("not an entry record");
@@ -91,17 +130,21 @@ ResultCache::open(const std::string &path)
             ExperimentResult result =
                 wire::decodeResult(reader.require("result"));
             reader.finish();
-            if (key != wire::pointHash(point))
+            if (key != entryCheck(point, wire::encodeResult(result).dump()))
                 throw serde::SerdeError(
-                    "key does not match the point encoding");
-            entries_[wire::encodePoint(point).dump()] =
-                std::move(result);
+                    "key does not match the point and result");
+            entries_[wire::encodePoint(point).dump()] = std::move(result);
         } catch (const serde::SerdeError &error) {
-            warn("cache '%s': skipping unreadable entry %zu: %s",
-                 path.c_str(), i, error.what());
+            if (serving)
+                warn("cache '%s': skipping unreadable entry %zu: %s",
+                     path.c_str(), i, error.what());
         }
     }
     log_.resume(lines.size());
+    // New entries must not land in a rejected segment, where the next
+    // open would not serve them.
+    if (!serving)
+        log_.append(headerLine());
 }
 
 void
@@ -140,8 +183,7 @@ ResultCache::insert(const GridPoint &point,
         return;
     // Degraded (ENOSPC/EIO on an earlier append): keep deduplicating
     // in memory so this process still gets hits; nothing persists.
-    const bool durable =
-        log_.append(entryLine(dump, wire::pointHash(point), result));
+    const bool durable = log_.append(entryLine(point, dump, result));
     entries_[dump] = result;
     if (durable)
         ++inserts_;

@@ -6,26 +6,31 @@
  *
  * Completed points are keyed by *content*: the canonical serde
  * encoding of the GridPoint itself (workload + full ExperimentConfig +
- * threads; each entry also stores its FNV-1a hash, wire::pointHash, as
- * a check). Any bench that enumerates the same experiment — at any
+ * threads). Any bench that enumerates the same experiment — at any
  * grid position, under any sharding — is served the stored result
- * instead of re-simulating. That is also how a killed sweep restarts:
- * rerun it with the same file, and every point that reached the file
- * is served while only the rest are simulated.
+ * instead of re-simulating. That is also how a killed sweep restarts
+ * (rerun it with the same file: every point that reached the file is
+ * served while only the rest are simulated), and how a sharded sweep
+ * is reassembled (concatenate the legs' files and render with the
+ * result).
  *
  * On disk the cache is one ndjson file kept by an AppendLog
  * (append_log.hh): a versioned header line (cache schema version plus
  * the wire::kVersion its records were encoded under), then one fsync'd
- * entry per result, appended as they complete. Nothing in the file is
- * fatal — every corruption mode degrades to recompute, never to a
- * crash or a wrong table:
+ * entry per result, appended as they complete. Each entry carries a
+ * check, FNV-1a over its point's and its result's encodings. Nothing
+ * in the file is fatal — every corruption mode degrades to recompute,
+ * never to a crash or a wrong table:
  *
- *   - unknown/garbled header, stale cache version, or a wirev that
- *     does not match this build  → the whole file is cold (truncated
- *     and re-headed; every lookup misses);
+ *   - unknown/garbled first header, stale cache version, or a wirev
+ *     that does not match this build  → the whole file is cold
+ *     (truncated and re-headed; every lookup misses);
+ *   - a later header (concatenated files) starts a segment and is
+ *     validated like the first: one this build reads is skipped, and
+ *     the entries after one it rejects are not served (one warning);
  *   - a torn final line (no trailing newline)  → dropped and the file
  *     truncated to the durable prefix;
- *   - an unreadable entry line (flipped byte, key/point mismatch,
+ *   - an unreadable entry line (flipped byte in its point or result,
  *     schema drift)  → that entry alone is skipped (served as a miss);
  *   - a failed append or fsync (ENOSPC, EIO, a yanked disk)  → the
  *     file is disabled with a one-line warning and the sweep keeps
@@ -67,8 +72,9 @@ class ResultCache
     /** Bump on any change to the cache file schema (header or entry
      *  layout). Distinct from wire::kVersion, which covers the record
      *  payload encodings and is checked separately via the header's
-     *  `wirev` field. */
-    static constexpr std::uint64_t kCacheVersion = 1;
+     *  `wirev` field. v2: an entry's `key` checks its result as well
+     *  as its point. */
+    static constexpr std::uint64_t kCacheVersion = 2;
 
     /**
      * Open (creating if absent) the cache file at @p path and load

@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -12,16 +11,6 @@ namespace acr::harness
 
 namespace
 {
-
-bool
-prefixShareDefault()
-{
-    const char *env = std::getenv("ACR_PREFIX_SHARE");
-    if (!env)
-        return true;
-    std::string value(env);
-    return value != "0" && value != "off";
-}
 
 /** Progress of the earliest armed fault event of @p config, or
  *  UINT64_MAX when the run is effectively error-free. Mirrors the
@@ -66,8 +55,7 @@ prefixKey(const std::string &workload, const ExperimentConfig &config)
 } // namespace
 
 Runner::Runner(unsigned threads, unsigned scale)
-    : machine_(sim::MachineConfig::tableI(threads)),
-      prefixShare_(prefixShareDefault())
+    : machine_(sim::MachineConfig::tableI(threads))
 {
     params_.threads = threads;
     params_.scale = scale;

@@ -87,11 +87,12 @@ class Runner
     std::uint64_t noCkptRuns() const { return noCkpt_.computes(); }
 
     /**
-     * Toggle error-free prefix sharing (DESIGN.md §13). Defaults from
-     * the ACR_PREFIX_SHARE environment variable: on unless set to "0"
-     * or "off". Sharing never changes any measured result — a resumed
+     * Toggle error-free prefix sharing (DESIGN.md §13.6; on by
+     * default). Sharing never changes any measured result — a resumed
      * run is instruction-identical to a from-scratch one — so the
-     * toggle exists for A/B verification and bisection only.
+     * toggle exists for A/B verification only: PerfEquiv.* renders
+     * the reference path with it off, and perfbench's span
+     * subtraction repeats a pass with it off.
      */
     void setPrefixShare(bool enabled) { prefixShare_ = enabled; }
     bool prefixShare() const { return prefixShare_; }
@@ -118,7 +119,7 @@ class Runner
     // is a no-op until its first trigger, so runs differing only in
     // them share the same prefix. A consumer picks the deepest snapshot
     // not past its own first trigger.
-    bool prefixShare_;
+    bool prefixShare_ = true;
     std::mutex prefixMutex_;
     std::map<std::string,
              std::vector<std::shared_ptr<const PrefixSnapshot>>>

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -149,26 +148,40 @@ answerDealt(RunnerPool &pool, WorkerHooks &hooks,
     return Dealt::kContinue;
 }
 
-/** The result @p controls already holds for @p grid_index (a
- *  result-cache hit), or null when the point must be simulated. */
-const ExperimentResult *
-served(const ShardedSweep::SweepControls &controls,
-       std::size_t grid_index)
-{
-    if (controls.cache == nullptr)
-        return nullptr;
-    const auto hit = controls.cache->find(grid_index);
-    return hit == controls.cache->end() ? nullptr : &hit->second;
-}
-
-/** Ascending-order result merger: slots fill in any order, the sink
- *  fires strictly in order as the completed prefix grows. */
+/**
+ * The one ordered merge of every executor: slots fill in any order,
+ * and each deliver() fires the sink — under the merger's mutex, so
+ * calls never overlap — for the whole completed prefix, in strictly
+ * ascending grid-index order.
+ */
 class OrderedMerger
 {
   public:
-    explicit OrderedMerger(std::size_t size)
-        : results_(size), done_(size, false)
+    OrderedMerger(const std::vector<std::size_t> &grid_indices,
+                  const ShardedSweep::OrderedSink &sink)
+        : indices_(grid_indices), sink_(sink),
+          results_(grid_indices.size()), done_(grid_indices.size(), false)
     {
+    }
+
+    /** Deliver every slot whose result @p cache holds (by grid
+     *  index; may be null) and return the others, ascending: the
+     *  slots left to simulate. */
+    std::vector<std::size_t>
+    serve(const std::map<std::size_t, ExperimentResult> *cache)
+    {
+        std::vector<std::size_t> todo;
+        for (std::size_t slot = 0; slot < indices_.size(); ++slot) {
+            if (cache != nullptr) {
+                const auto hit = cache->find(indices_[slot]);
+                if (hit != cache->end()) {
+                    deliver(slot, hit->second);
+                    continue;
+                }
+            }
+            todo.push_back(slot);
+        }
+        return todo;
     }
 
     void
@@ -178,28 +191,29 @@ class OrderedMerger
         ACR_ASSERT(!done_[slot], "slot %zu delivered twice", slot);
         results_[slot] = std::move(result);
         done_[slot] = true;
-        ready_.notify_all();
+        for (; next_ < results_.size() && done_[next_]; ++next_)
+            if (sink_)
+                sink_(indices_[next_], results_[next_]);
     }
 
-    /** Wait for every slot, draining the sink in ascending order. */
+    /** Every slot, once all were delivered. */
     std::vector<ExperimentResult>
-    collect(const std::vector<std::size_t> &grid_indices,
-            const ShardedSweep::OrderedSink &sink)
+    take()
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (std::size_t slot = 0; slot < results_.size(); ++slot) {
-            ready_.wait(lock, [&] { return done_[slot]; });
-            if (sink)
-                sink(grid_indices[slot], results_[slot]);
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        ACR_ASSERT(next_ == results_.size(),
+                   "sweep finished with %zu of %zu slots", next_,
+                   results_.size());
         return std::move(results_);
     }
 
   private:
+    const std::vector<std::size_t> &indices_;
+    const ShardedSweep::OrderedSink &sink_;
     std::mutex mutex_;
-    std::condition_variable ready_;
     std::vector<ExperimentResult> results_;
     std::vector<bool> done_;
+    std::size_t next_ = 0;
 };
 
 } // namespace
@@ -286,67 +300,30 @@ ShardedSweep::run(const std::vector<GridPoint> &points, Shard shard,
     const auto wall_start = std::chrono::steady_clock::now();
     std::vector<double> point_millis(indices.size(), 0.0);
 
-    std::vector<ExperimentResult> results;
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, indices.empty() ? 1
-                                                     : indices.size()));
-    if (workers <= 1) {
-        results.resize(indices.size());
-        for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            const std::size_t grid_index = indices[slot];
-            if (const auto *hit = served(controls, grid_index)) {
-                results[slot] = *hit;
-            } else {
-                const GridPoint &point = points[grid_index];
-                const auto point_start =
-                    std::chrono::steady_clock::now();
-                results[slot] = pool_.at(point.threads)
-                                    .run(point.workload, point.config);
-                point_millis[slot] = millisSince(point_start);
-                if (controls.completed)
-                    controls.completed(grid_index, results[slot]);
-            }
-            if (controls.sink)
-                controls.sink(grid_index, results[slot]);
+    // Serve cache hits up front; worker threads simulate the rest.
+    OrderedMerger merger(indices, controls.sink);
+    const std::vector<std::size_t> todo = merger.serve(controls.cache);
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (std::size_t i = next++; i < todo.size(); i = next++) {
+            const std::size_t slot = todo[i];
+            const GridPoint &point = points[indices[slot]];
+            const auto point_start = std::chrono::steady_clock::now();
+            auto result =
+                pool_.at(point.threads).run(point.workload, point.config);
+            point_millis[slot] = millisSince(point_start);
+            if (controls.completed)
+                controls.completed(indices[slot], result);
+            merger.deliver(slot, std::move(result));
         }
-    } else {
-        OrderedMerger merger(indices.size());
-        // Serve cache hits up front; the worker threads skip those
-        // slots (from_cache is read-only once they start).
-        std::vector<bool> from_cache(indices.size(), false);
-        for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            if (const auto *hit = served(controls, indices[slot])) {
-                from_cache[slot] = true;
-                merger.deliver(slot, *hit);
-            }
-        }
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            while (true) {
-                const std::size_t slot = next.fetch_add(1);
-                if (slot >= indices.size())
-                    return;
-                if (from_cache[slot])
-                    continue;
-                const GridPoint &point = points[indices[slot]];
-                const auto point_start =
-                    std::chrono::steady_clock::now();
-                auto result = pool_.at(point.threads)
-                                  .run(point.workload, point.config);
-                point_millis[slot] = millisSince(point_start);
-                if (controls.completed)
-                    controls.completed(indices[slot], result);
-                merger.deliver(slot, std::move(result));
-            }
-        };
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            threads.emplace_back(worker);
-        results = merger.collect(indices, controls.sink);
-        for (auto &thread : threads)
-            thread.join();
-    }
+    };
+    std::vector<std::thread> threads;
+    const std::size_t workers = std::min<std::size_t>(jobs_, todo.size());
+    for (std::size_t w = 0; w < workers; ++w)
+        threads.emplace_back(worker);
+    for (auto &thread : threads)
+        thread.join();
+    std::vector<ExperimentResult> results = merger.take();
 
     hostStats_.clear();
     hostStats_.set("sweep.jobs", static_cast<double>(jobs_));
@@ -434,32 +411,14 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // The supervisor delivers in completion order; the ordered sink
-    // fires here as the completed prefix grows, so rendered output
-    // stays byte-identical to a --jobs=1 run regardless of crashes,
-    // retries, or cache hits.
-    std::vector<ExperimentResult> results(indices.size());
-    std::vector<bool> done(indices.size(), false);
-    std::size_t next_emit = 0;
-    auto flushReady = [&] {
-        while (next_emit < indices.size() && done[next_emit]) {
-            if (controls.sink)
-                controls.sink(indices[next_emit], results[next_emit]);
-            ++next_emit;
-        }
-    };
-
+    // The supervisor delivers in completion order; the merger fires
+    // the ordered sink as the completed prefix grows, so rendered
+    // output stays byte-identical to a --jobs=1 run regardless of
+    // crashes, retries, or cache hits.
+    OrderedMerger merger(indices, controls.sink);
     std::vector<Supervisor::Task> tasks;
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-        const std::size_t grid_index = indices[slot];
-        if (const auto *hit = served(controls, grid_index)) {
-            results[slot] = *hit;
-            done[slot] = true;
-        } else {
-            tasks.push_back({slot, grid_index, &points[grid_index]});
-        }
-    }
-    flushReady();
+    for (const std::size_t slot : merger.serve(controls.cache))
+        tasks.push_back({slot, indices[slot], &points[indices[slot]]});
 
     if (!tasks.empty()) {
         execute(
@@ -467,15 +426,11 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
             [&](const Supervisor::Task &task, ExperimentResult result) {
                 if (controls.completed)
                     controls.completed(task.gridIndex, result);
-                results[task.slot] = std::move(result);
-                done[task.slot] = true;
-                flushReady();
+                merger.deliver(task.slot, std::move(result));
             },
             supervision);
     }
-    ACR_ASSERT(next_emit == indices.size(),
-               "supervised sweep finished with %zu of %zu slots",
-               next_emit, indices.size());
+    std::vector<ExperimentResult> results = merger.take();
 
     hostStats_.clear();
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));

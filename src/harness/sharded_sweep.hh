@@ -84,6 +84,8 @@ class ShardedSweep
      * Ordered streaming sink: invoked with (grid index, result) in
      * strictly ascending grid-index order, each as soon as every
      * earlier owned point has completed — no end-of-run barrier.
+     * Calls never overlap, but in-process run() makes them from its
+     * worker threads.
      */
     using OrderedSink =
         std::function<void(std::size_t, const ExperimentResult &)>;

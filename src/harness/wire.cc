@@ -167,7 +167,6 @@ encodeConfig(const ExperimentConfig &config)
         .set("placement", placementName(config.placement))
         .set("placementSlack", config.placementSlack)
         .set("seed", config.seed)
-        .set("verifyFinalState", config.verifyFinalState)
         .set("oracle", config.oracle)
         .set("faultEventMask", config.faultEventMask)
         .set("storageErrors", config.storageErrors)
@@ -199,7 +198,6 @@ decodeConfig(const Json &json)
         placementFromName(reader.requireString("placement"));
     config.placementSlack = reader.requireDouble("placementSlack");
     config.seed = reader.requireUint("seed");
-    config.verifyFinalState = reader.requireBool("verifyFinalState");
     config.oracle = reader.requireBool("oracle");
     config.faultEventMask = reader.requireUint("faultEventMask");
     config.storageErrors =
@@ -233,8 +231,8 @@ Json
 encodeResult(const ExperimentResult &result)
 {
     if (result.failed)
-        throw SerdeError("a quarantined result travels as a 'failed' "
-                         "record, not a 'result' record");
+        throw SerdeError("a quarantined result is a placeholder, not a "
+                         "measurement: it has no wire encoding");
     Json history = Json::array();
     for (const auto &interval : result.history)
         history.push(encodeInterval(interval));
@@ -304,14 +302,19 @@ decodePoint(const Json &json)
 }
 
 std::uint64_t
-pointHash(const GridPoint &point)
+fnv1a(const std::string &bytes, std::uint64_t hash)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-    for (unsigned char c : encodePoint(point).dump()) {
+    for (unsigned char c : bytes) {
         hash ^= c;
         hash *= 0x100000001b3ULL;
     }
     return hash;
+}
+
+std::uint64_t
+pointHash(const GridPoint &point)
+{
+    return fnv1a(encodePoint(point).dump());
 }
 
 std::string
@@ -329,28 +332,6 @@ encodeResultLine(const ResultRecord &record)
     Json json = envelope("result");
     json.set("index", record.index)
         .set("result", encodeResult(record.result));
-    return json.dump();
-}
-
-std::string
-encodeManifestLine(const ManifestRecord &record)
-{
-    Json json = envelope("manifest");
-    json.set("bench", record.bench)
-        .set("shard", record.shard)
-        .set("shardCount", record.shardCount)
-        .set("gridPoints", record.gridPoints)
-        .set("gridHash", record.gridHash);
-    return json.dump();
-}
-
-std::string
-encodeFailedLine(const FailedRecord &record)
-{
-    Json json = envelope("failed");
-    json.set("index", record.index)
-        .set("attempts", record.attempts)
-        .set("reason", record.reason);
     return json.dump();
 }
 
@@ -399,18 +380,6 @@ decodeLine(const std::string &line)
         record.type = Record::Type::kResult;
         record.result.index = reader.requireUint("index");
         record.result.result = decodeResult(reader.require("result"));
-    } else if (type == "failed") {
-        record.type = Record::Type::kFailed;
-        record.failed.index = reader.requireUint("index");
-        record.failed.attempts = reader.requireUint("attempts");
-        record.failed.reason = reader.requireString("reason");
-    } else if (type == "manifest") {
-        record.type = Record::Type::kManifest;
-        record.manifest.bench = reader.requireString("bench");
-        record.manifest.shard = reader.requireUint("shard");
-        record.manifest.shardCount = reader.requireUint("shardCount");
-        record.manifest.gridPoints = reader.requireUint("gridPoints");
-        record.manifest.gridHash = reader.requireUint("gridHash");
     } else if (type == "hello") {
         record.type = Record::Type::kHello;
         record.hello.bench = reader.requireString("bench");
@@ -427,17 +396,10 @@ decodeLine(const std::string &line)
 std::uint64_t
 gridHash(const std::vector<GridPoint> &points)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-    auto mix = [&hash](const std::string &bytes) {
-        for (unsigned char c : bytes) {
-            hash ^= c;
-            hash *= 0x100000001b3ULL;
-        }
-    };
-    for (std::uint64_t i = 0; i < points.size(); ++i) {
-        mix(encodePointLine(PointRecord{i, points[i]}));
-        mix("\n");
-    }
+    std::uint64_t hash = fnv1a("");  // the offset basis
+    for (std::uint64_t i = 0; i < points.size(); ++i)
+        hash = fnv1a(encodePointLine(PointRecord{i, points[i]}) + "\n",
+                     hash);
     return hash;
 }
 

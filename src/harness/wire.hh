@@ -2,7 +2,7 @@
  * @file
  * The experiment wire format (DESIGN.md §8): versioned, schema-checked
  * JSON encodings of ExperimentConfig, ExperimentResult (StatSet and
- * history included), and the shard records the multi-process sweep
+ * history included), and the records the multi-process sweep
  * exchanges — the "checkpoint state must survive a process boundary"
  * discipline applied to the harness's own data.
  *
@@ -52,8 +52,12 @@ namespace wire
  *      ResultCache keys and shard grids distinguish storage-fault
  *      campaigns.
  *  v7: config lost its hierarchical second-tier promotion period (the
- *      tier was removed). */
-inline constexpr std::uint64_t kVersion = 7;
+ *      tier was removed).
+ *  v8: config lost `verifyFinalState` (final-state verification is
+ *      unconditional); the `manifest` and `failed` record types are
+ *      gone (a `--shard` leg writes result-cache files, DESIGN.md
+ *      §8.3). */
+inline constexpr std::uint64_t kVersion = 8;
 
 // --- Value encodings (no version envelope; record lines add it) ---
 
@@ -70,6 +74,11 @@ ExperimentResult decodeResult(const serde::Json &json);
  *  threads) — position-independent, the ResultCache's key material. */
 serde::Json encodePoint(const GridPoint &point);
 GridPoint decodePoint(const serde::Json &json);
+
+/** 64-bit FNV-1a over @p bytes, continuing from @p hash (the offset
+ *  basis by default), so a hash can span several encodings. */
+std::uint64_t fnv1a(const std::string &bytes,
+                    std::uint64_t hash = 0xcbf29ce484222325ULL);
 
 /** FNV-1a over encodePoint(point).dump(): two points hash equal iff
  *  they are the same experiment, regardless of which bench enumerated
@@ -90,34 +99,6 @@ struct ResultRecord
 {
     std::uint64_t index = 0;
     ExperimentResult result;
-};
-
-/**
- * A point the supervisor quarantined after exhausting its retries:
- * the sweep completed around it, and the failure travels through the
- * result stream (shard files) as an explicit record instead of
- * aborting the whole run.
- */
-struct FailedRecord
-{
-    std::uint64_t index = 0;
-    std::uint64_t attempts = 0;
-    std::string reason;
-};
-
-/**
- * First line of a shard's output: which slice of which grid this
- * stream holds, so merging can verify the shards are disjoint,
- * complete, and come from the same grid (gridHash covers every
- * point's full encoding).
- */
-struct ManifestRecord
-{
-    std::string bench;
-    std::uint64_t shard = 0;
-    std::uint64_t shardCount = 1;
-    std::uint64_t gridPoints = 0;
-    std::uint64_t gridHash = 0;
 };
 
 /**
@@ -145,26 +126,20 @@ struct HelloRecord
 
 std::string encodePointLine(const PointRecord &record);
 std::string encodeResultLine(const ResultRecord &record);
-std::string encodeManifestLine(const ManifestRecord &record);
-std::string encodeFailedLine(const FailedRecord &record);
 std::string encodeHelloLine(const HelloRecord &record);
 
-/** One decoded record line (tagged union over the five types). */
+/** One decoded record line (tagged union over the three types). */
 struct Record
 {
     enum class Type
     {
         kPoint,
         kResult,
-        kManifest,
-        kFailed,
         kHello,
     };
     Type type = Type::kPoint;
     PointRecord point;
     ResultRecord result;
-    ManifestRecord manifest;
-    FailedRecord failed;
     HelloRecord hello;
 };
 

@@ -7,8 +7,9 @@
 #     oracle is on by default for every checkpointing point and the
 #     process exits 0 (a divergence would exit 4);
 #   * the BenchMain determinism contract holds across backends: the
-#     rendered stdout of --jobs=1, --jobs=8, and a 2-shard --shard +
-#     --merge round trip is byte-identical;
+#     rendered stdout of --jobs=1, --jobs=8, and --cache over the
+#     concatenated cache files of two --shard legs is byte-identical,
+#     with zero misses;
 #   * the result cache distinguishes backends: a warm re-run of the
 #     same backend selection serves 100% hits with zero misses, while
 #     the same experiments under a different backend miss (only the
@@ -89,14 +90,24 @@ run_case("${OUT}/reference.txt" "${OUT}/reference.err" ${GRID} --jobs=1)
 run_case("${OUT}/jobs8.txt" "${OUT}/jobs8.err" ${GRID} --jobs=8)
 expect_identical("${OUT}/reference.txt" "${OUT}/jobs8.txt" "--jobs=8")
 
-run_case("${OUT}/shard0.ndjson" "${OUT}/shard0.err" ${GRID}
-         --shard=0/2 --jobs=2)
-run_case("${OUT}/shard1.ndjson" "${OUT}/shard1.err" ${GRID}
-         --shard=1/2 --jobs=2)
+run_case("${OUT}/shard0.txt" "${OUT}/shard0.err" ${GRID}
+         --shard=0/2 --jobs=2 "--cache=${OUT}/shard0.cache")
+run_case("${OUT}/shard1.txt" "${OUT}/shard1.err" ${GRID}
+         --shard=1/2 --jobs=2 "--cache=${OUT}/shard1.cache")
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E cat
+            "${OUT}/shard0.cache" "${OUT}/shard1.cache"
+    OUTPUT_FILE "${OUT}/all.cache")
 run_case("${OUT}/merged.txt" "${OUT}/merged.err" ${GRID}
-         "--merge=${OUT}/shard0.ndjson,${OUT}/shard1.ndjson")
+         "--cache=${OUT}/all.cache")
 expect_identical("${OUT}/reference.txt" "${OUT}/merged.txt"
-                 "2-shard --merge")
+                 "2-shard caches, concatenated")
+read_stats("${OUT}/merged.err" merged)
+expect_stat("${merged_misses}" 0 "2-shard render misses")
+file(READ "${OUT}/merged.err" merged_err)
+if(merged_err MATCHES "warn:")
+    message(FATAL_ERROR "2-shard render warned:\n${merged_err}")
+endif()
 
 # --- Cache keys distinguish backends ---
 # Cold single-backend run populates the cache ...

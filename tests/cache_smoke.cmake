@@ -13,9 +13,10 @@
 #   * a different bench enumerating the same experiments gets full
 #     cross-bench hits from the shared file;
 #   * every corruption mode degrades to recompute, never to a crash or
-#     a wrong table: a flipped byte in one entry misses only that
-#     entry, a torn final line is dropped, and a header carrying a
-#     stale wire version makes the whole file cold.
+#     a wrong table: a flipped byte in one entry's tag and a flipped
+#     digit in another entry's result each miss only that entry, a
+#     torn final line is dropped, and a header carrying a stale wire
+#     version makes the whole file cold.
 #
 # Invoke with
 #   cmake -DBENCH=<path> -DBENCH2=<path> -DWORKLOADS=<a,b>
@@ -122,7 +123,7 @@ expect_stat("${forks_hits}" "${cold_points}" "warm forked-run hits")
 expect_stat("${forks_misses}" 0 "warm forked-run misses")
 
 # --- Warm shard: the coordinator serves its owned points too ---
-run_case("${BENCH}" "${OUT}/warm_shard.ndjson" "${OUT}/warm_shard.err" 0
+run_case("${BENCH}" "${OUT}/warm_shard.txt" "${OUT}/warm_shard.err" 0
          --shard=0/2 "--cache=${CACHE_FILE}")
 read_stats("${OUT}/warm_shard.err" shard)
 expect_stat("${shard_misses}" 0 "warm shard-run misses")
@@ -138,7 +139,10 @@ read_stats("${OUT}/cross.err" cross)
 expect_stat("${cross_hits}" "${cross_points}" "cross-bench hits")
 expect_stat("${cross_misses}" 0 "cross-bench misses")
 
-# --- Flipped byte in one entry: that entry alone is recomputed ---
+# --- Flipped bytes: one in the first entry's tag, one in the first
+#     digit of the last entry's cycle count (the result still parses,
+#     so only the entry's key can catch it); each of the two entries
+#     alone is recomputed ---
 file(READ "${CACHE_FILE}" content)
 string(FIND "${content}" "\"type\":\"entry\"" flip_at)
 if(flip_at EQUAL -1)
@@ -147,16 +151,34 @@ endif()
 string(SUBSTRING "${content}" 0 ${flip_at} before)
 math(EXPR rest_at "${flip_at} + 14")
 string(SUBSTRING "${content}" ${rest_at} -1 after)
-file(WRITE "${CACHE_FILE}" "${before}\"type\":\"entrX\"${after}")
+set(content "${before}\"type\":\"entrX\"${after}")
+string(FIND "${content}" "\"type\":\"entry\"" last_at REVERSE)
+string(FIND "${content}" "\"cycles\":" digit_at REVERSE)
+if(NOT last_at GREATER flip_at OR NOT digit_at GREATER last_at)
+    message(FATAL_ERROR "no second entry result in '${CACHE_FILE}'")
+endif()
+math(EXPR digit_at "${digit_at} + 9")
+string(SUBSTRING "${content}" ${digit_at} 1 digit)
+if(digit STREQUAL "1")
+    set(digit 2)
+else()
+    set(digit 1)
+endif()
+string(SUBSTRING "${content}" 0 ${digit_at} before)
+math(EXPR rest_at "${digit_at} + 1")
+string(SUBSTRING "${content}" ${rest_at} -1 after)
+file(WRITE "${CACHE_FILE}" "${before}${digit}${after}")
 run_case("${BENCH}" "${OUT}/flip.txt" "${OUT}/flip.err" 0
          --jobs=2 "--cache=${CACHE_FILE}")
 expect_identical("${OUT}/reference.txt" "${OUT}/flip.txt"
                  "flipped-byte run")
 expect_match("${OUT}/flip.err" "skipping unreadable entry"
              "flipped-byte skip warning")
+expect_match("${OUT}/flip.err" "key does not match"
+             "flipped-digit skip warning")
 read_stats("${OUT}/flip.err" flip)
-expect_stat("${flip_misses}" 1 "flipped-byte misses")
-expect_stat("${flip_inserts}" 1 "flipped-byte re-inserts")
+expect_stat("${flip_misses}" 2 "flipped-byte misses")
+expect_stat("${flip_inserts}" 2 "flipped-byte re-inserts")
 
 # --- Torn final line: dropped, that entry recomputed ---
 file(READ "${CACHE_FILE}" content)

@@ -9,7 +9,9 @@
 #   * a wedged worker is SIGKILLed by the --point-timeout watchdog and
 #     its point retried, same byte-identical contract;
 #   * a point failing every attempt is quarantined: the table renders a
-#     FAILED cell and the process exits 3 instead of aborting;
+#     FAILED cell and the process exits 3 instead of aborting; a shard
+#     leg with a quarantined point exits 3 without storing it, so the
+#     render of the legs' concatenated caches retries it;
 #   * a sweep killed mid-run restarts by rerunning it with the same
 #     --cache, without re-simulating completed points (run counts
 #     checked via the "cache: N hit(s)" stderr stat). Warm reruns and
@@ -102,25 +104,33 @@ expect_identical("${OUT}/reference.txt" "${OUT}/restarted.txt"
 expect_match("${OUT}/restarted.err" "cache: 2 hit\\(s\\)"
              "restart must serve exactly the cached completions")
 
-# --- Merging shards that contain failed records: the merged render
-#     shows FAILED cells and exits 3, same as a live quarantine ---
-run_case("${OUT}/fshard0.ndjson" "${OUT}/fshard0.err" 3
-         "ACR_TEST_CRASH_INDEX=0" --shard=0/2 --forks=2 --retries=0)
-run_case("${OUT}/fshard1.ndjson" "${OUT}/fshard1.err" 0 "" --shard=1/2)
-run_case("${OUT}/fmerged.txt" "${OUT}/fmerged.err" 3 ""
-         "--merge=${OUT}/fshard0.ndjson,${OUT}/fshard1.ndjson")
-expect_match("${OUT}/fmerged.txt" "FAILED"
-             "merged FAILED table cell")
-expect_match("${OUT}/fmerged.err" "quarantin"
-             "merged quarantine report")
+# --- A shard leg with a quarantined point exits 3 and does not store
+#     it; the render of the concatenated leg caches retries that one
+#     point and renders byte-identically ---
+run_case("${OUT}/fshard0.txt" "${OUT}/fshard0.err" 3
+         "ACR_TEST_CRASH_INDEX=0" --shard=0/2 --forks=2 --retries=0
+         "--cache=${OUT}/fshard0.cache")
+expect_match("${OUT}/fshard0.err" "quarantin" "shard-leg quarantine report")
+run_case("${OUT}/fshard1.txt" "${OUT}/fshard1.err" 0 "" --shard=1/2
+         "--cache=${OUT}/fshard1.cache")
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E cat
+            "${OUT}/fshard0.cache" "${OUT}/fshard1.cache"
+    OUTPUT_FILE "${OUT}/fall.cache")
+run_case("${OUT}/fmerged.txt" "${OUT}/fmerged.err" 0 ""
+         "--cache=${OUT}/fall.cache")
+expect_identical("${OUT}/reference.txt" "${OUT}/fmerged.txt"
+                 "render of the shard caches")
+expect_match("${OUT}/fmerged.err" "cache: [0-9]+ hit\\(s\\), 1 miss\\(es\\)"
+             "the render must retry exactly the quarantined point")
 
 # --- Oracle-in-workers parity (needs -DTORTURE=<torture binary>): a
 #     fixture divergence (ACR_TEST_CORRUPT_RECOVERY) must surface
 #     identically — same rendered bytes, same exit-4 verdict — whether
 #     the point runs on in-process threads (--jobs), forked wire-
-#     protocol workers (--forks), or split across shards whose records
-#     carry the divergence to a later --merge. In shard mode the legs
-#     themselves exit 0: the verdict travels in the result records
+#     protocol workers (--forks), or split across shard legs whose
+#     cache files carry the divergence to a later render. The legs
+#     themselves exit 0: the verdict travels in the cached results
 #     (oracleDivergences/oracleReport) and is applied at render time.
 if(DEFINED TORTURE)
     set(oracle_campaign --workloads=is --modes=reckpt --coords=global
@@ -149,26 +159,33 @@ if(DEFINED TORTURE)
     expect_match("${OUT}/oracle_forks.err" "\\[oracle\\]"
                  "forked oracle diagnostic")
 
-    run_oracle("${OUT}/oracle_s0.ndjson" "${OUT}/oracle_s0.err" 0
-               --shard=0/2 --forks=2)
-    run_oracle("${OUT}/oracle_s1.ndjson" "${OUT}/oracle_s1.err" 0
-               --shard=1/2)
-    # The divergence must travel inside the wire records themselves.
-    file(READ "${OUT}/oracle_s0.ndjson" s0)
-    file(READ "${OUT}/oracle_s1.ndjson" s1)
+    run_oracle("${OUT}/oracle_s0.txt" "${OUT}/oracle_s0.err" 0
+               --shard=0/2 --forks=2 "--cache=${OUT}/oracle_s0.cache")
+    run_oracle("${OUT}/oracle_s1.txt" "${OUT}/oracle_s1.err" 0
+               --shard=1/2 "--cache=${OUT}/oracle_s1.cache")
+    # The divergence must travel inside the cached results themselves.
+    file(READ "${OUT}/oracle_s0.cache" s0)
+    file(READ "${OUT}/oracle_s1.cache" s1)
     if(NOT "${s0}${s1}" MATCHES "\"oracleDivergences\":[1-9]")
         message(FATAL_ERROR
-                "no shard record carries a nonzero oracleDivergences "
-                "count — divergences are not crossing the wire")
+                "no shard cache entry carries a nonzero "
+                "oracleDivergences count — divergences are not "
+                "crossing the wire")
     endif()
+    execute_process(
+        COMMAND "${CMAKE_COMMAND}" -E cat
+                "${OUT}/oracle_s0.cache" "${OUT}/oracle_s1.cache"
+        OUTPUT_FILE "${OUT}/oracle_all.cache")
     run_oracle("${OUT}/oracle_merged.txt" "${OUT}/oracle_merged.err" 4
-               "--merge=${OUT}/oracle_s0.ndjson,${OUT}/oracle_s1.ndjson")
+               "--cache=${OUT}/oracle_all.cache")
     expect_identical("${OUT}/oracle_jobs.txt" "${OUT}/oracle_merged.txt"
-                     "oracle divergence across shard+merge")
+                     "oracle divergence across shard caches")
+    expect_match("${OUT}/oracle_merged.err" "0 miss\\(es\\)"
+                 "render of the oracle shard caches")
 
     message(STATUS
             "fault smoke: oracle divergence surfaced identically in "
-            "--jobs, --forks, and --shard+merge")
+            "--jobs, --forks, and shard caches")
 endif()
 
 message(STATUS

@@ -2,9 +2,9 @@
  * @file
  * End-to-end integration tests over the full stack (workload → slicer →
  * checkpointing → error injection → recovery → verification). Every run
- * here executes with verifyFinalState on, so recovery transparency —
- * the final memory image equals the error-free reference — is asserted
- * inside the runtime itself; the tests add cross-configuration
+ * verifies its final state, so recovery transparency — the final
+ * memory image equals the error-free reference — is asserted inside
+ * the runtime itself; the tests add cross-configuration
  * invariants from the paper on top.
  */
 

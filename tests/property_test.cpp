@@ -4,7 +4,8 @@
  * shapes, checkpoint cadences, error counts and coordination modes, a
  * full ACR run must (a) terminate, (b) recover every injected error,
  * and (c) land on a final memory state bit-identical to the error-free
- * reference — the runtime panics otherwise (verifyFinalState).
+ * reference — the runtime panics otherwise (it verifies every run's
+ * final state).
  */
 
 #include <gtest/gtest.h>
@@ -73,7 +74,6 @@ TEST_P(RandomizedAcrRuns, RecoveryIsAlwaysTransparent)
     config.numErrors = static_cast<unsigned>(rng.below(4));
     config.sliceThreshold = policy.lengthThreshold;
     config.seed = rng.next();
-    config.verifyFinalState = true;  // the property under test
 
     const isa::Program &to_run =
         config.mode == BerMode::kReCkpt ? pass.program : program;

@@ -4,9 +4,11 @@
  * position- and bench-independent, persisted entries round-trip
  * byte-exactly across repeated reopens (the restart of a killed
  * sweep), quarantined results are never cached, concurrent inserts
- * and counter reads are race-free, and every corruption mode — torn
- * tail, flipped byte, stale cache or wire version, garbage header —
- * degrades to a miss (recompute), never a crash. The end-to-end
+ * and counter reads are race-free, concatenated files serve every
+ * segment whose header this build reads, and every corruption mode —
+ * torn tail, flipped byte in a point or a result, stale cache or wire
+ * version, garbage header — degrades to a miss (recompute), never a
+ * crash. The end-to-end
  * warm-replay and cross-bench determinism contract is exercised
  * against real bench binaries by tests/cache_smoke.cmake, and the
  * restart of a killed sweep by tests/fault_smoke.cmake and
@@ -310,6 +312,141 @@ TEST(ResultCacheTest, FlippedByteSkipsOnlyThatEntry)
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(dump(*hit), dump(fakeResult(200)));
     std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, FlippedResultDigitIsAMiss)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("flipdigit");
+    std::remove(path.c_str());
+
+    {
+        ResultCache cache;
+        cache.open(path);
+        cache.insert(grid[0], fakeResult(100));
+        cache.insert(grid[1], fakeResult(200));
+    }
+    // A digit flipped inside the first stored result still parses as
+    // a result; the entry's key must catch it, or the wrong number
+    // would be served as a hit.
+    auto content = readFile(path);
+    const std::string stored = "\"cycles\":100,";
+    const auto at = content.find(stored);
+    ASSERT_NE(at, std::string::npos);
+    content.replace(at, stored.size(), "\"cycles\":190,");
+    writeFile(path, content);
+
+    {
+        ResultCache reloaded;
+        reloaded.open(path);
+        EXPECT_EQ(reloaded.size(), 1u);
+        EXPECT_EQ(reloaded.find(grid[0]), nullptr);
+        EXPECT_EQ(reloaded.misses(), 1u);
+        EXPECT_NE(reloaded.find(grid[1]), nullptr);
+        // The recomputed point is stored again.
+        reloaded.insert(grid[0], fakeResult(100));
+        EXPECT_EQ(reloaded.inserts(), 1u);
+    }
+    ResultCache full;
+    full.open(path);
+    const auto *hit = full.find(grid[0]);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(dump(*hit), dump(fakeResult(100)));
+    std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, ConcatenatedCachesServeEverySegment)
+{
+    const auto grid = tinyGrid();
+    const auto first = cachePath("segment0");
+    const auto second = cachePath("segment1");
+    const auto path = cachePath("segments");
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
+
+    // Two shard legs, each with its own header, concatenated.
+    {
+        ResultCache leg;
+        leg.open(first);
+        leg.insert(grid[0], fakeResult(100));
+        leg.insert(grid[2], fakeResult(300));
+    }
+    {
+        ResultCache leg;
+        leg.open(second);
+        leg.insert(grid[1], fakeResult(200));
+    }
+    writeFile(path, readFile(first) + readFile(second));
+
+    // The second header is one this build reads: skipped silently.
+    testing::internal::CaptureStderr();
+    ResultCache merged;
+    merged.open(path);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warnings, "");
+    EXPECT_EQ(merged.size(), 3u);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const auto *hit = merged.find(grid[i]);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(dump(*hit), dump(fakeResult(100 * (i + 1))));
+    }
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
+}
+
+TEST(ResultCacheTest, RejectedLaterHeaderIsNotServed)
+{
+    const auto grid = tinyGrid();
+    const auto first = cachePath("rejected0");
+    const auto second = cachePath("rejected1");
+    const auto path = cachePath("rejected");
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
+
+    {
+        ResultCache leg;
+        leg.open(first);
+        leg.insert(grid[0], fakeResult(100));
+    }
+    {
+        ResultCache leg;
+        leg.open(second);
+        leg.insert(grid[1], fakeResult(200));
+        leg.insert(grid[2], fakeResult(300));
+    }
+    // The second file claims a wire version this build does not
+    // speak: its entries must not be served, even though they decode.
+    std::string foreign = readFile(second);
+    const std::string current =
+        "\"wirev\":" + std::to_string(wire::kVersion);
+    const auto at = foreign.find(current);
+    ASSERT_NE(at, std::string::npos);
+    foreign.replace(at, current.size(), "\"wirev\":999");
+    writeFile(path, readFile(first) + foreign);
+
+    {
+        testing::internal::CaptureStderr();
+        ResultCache merged;
+        merged.open(path);
+        const std::string warnings =
+            testing::internal::GetCapturedStderr();
+        // One warning for the whole segment, not one per entry.
+        EXPECT_NE(warnings.find("not serving"), std::string::npos);
+        EXPECT_EQ(warnings.find('\n'), warnings.size() - 1) << warnings;
+        EXPECT_EQ(merged.size(), 1u);
+        EXPECT_NE(merged.find(grid[0]), nullptr);
+        EXPECT_EQ(merged.find(grid[1]), nullptr);
+        EXPECT_EQ(merged.find(grid[2]), nullptr);
+        // Fresh entries land after a header this build reads.
+        merged.insert(grid[1], fakeResult(200));
+    }
+    ResultCache reopened;
+    reopened.open(path);
+    EXPECT_EQ(reopened.size(), 2u);
+    EXPECT_NE(reopened.find(grid[1]), nullptr);
+    EXPECT_EQ(reopened.find(grid[2]), nullptr);
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
 }
 
 TEST(ResultCacheTest, KeyPointMismatchIsSkipped)

@@ -3,12 +3,16 @@
 # a workload subset (-DWORKLOADS=...), verifies the BenchMain
 # determinism contract: the rendered stdout of
 #
-#   --jobs=1                                (reference)
-#   --shard=0/2 + --shard=1/2 --> --merge   (static sharding)
-#   --forks=2                               (forked local workers)
+#   --jobs=1                                  (reference)
+#   --shard=i/2 --cache=si, cat s0 s1 > all,
+#     then --cache=all                        (static sharding)
+#   --forks=2                                 (forked local workers)
 #
-# is byte-identical, and that ACR_JOBS goes through the same strict
-# parser as --jobs (garbage exits 1 naming the variable). Invoke with
+# is byte-identical, that a shard leg prints nothing on stdout and
+# needs a --cache, that the render of the concatenated caches
+# simulates nothing and warns about nothing, that --merge is gone, and
+# that ACR_JOBS goes through the same strict parser as --jobs (garbage
+# exits 1 naming the variable). Invoke with
 #   cmake -DBENCH=<path> -DWORKLOADS=<a,b> -DOUT=<scratch dir>
 #         -P shard_smoke.cmake
 
@@ -18,6 +22,7 @@ foreach(var BENCH WORKLOADS OUT)
     endif()
 endforeach()
 
+file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 
 function(run_bench output)
@@ -46,12 +51,57 @@ endfunction()
 
 run_bench("${OUT}/reference.txt" --jobs=1)
 
-run_bench("${OUT}/shard0.ndjson" --shard=0/2 --jobs=2)
-run_bench("${OUT}/shard1.ndjson" --shard=1/2 --jobs=2)
-run_bench("${OUT}/merged.txt"
-          "--merge=${OUT}/shard0.ndjson,${OUT}/shard1.ndjson")
+foreach(leg 0 1)
+    run_bench("${OUT}/shard${leg}.txt" --shard=${leg}/2 --jobs=2
+              "--cache=${OUT}/shard${leg}.cache")
+    file(SIZE "${OUT}/shard${leg}.txt" leg_bytes)
+    if(NOT leg_bytes EQUAL 0)
+        message(FATAL_ERROR "--shard=${leg}/2 printed on stdout")
+    endif()
+endforeach()
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E cat
+            "${OUT}/shard0.cache" "${OUT}/shard1.cache"
+    OUTPUT_FILE "${OUT}/all.cache"
+    RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "cannot concatenate the shard caches")
+endif()
+execute_process(
+    COMMAND "${BENCH}" "--workloads=${WORKLOADS}"
+            "--cache=${OUT}/all.cache"
+    OUTPUT_FILE "${OUT}/merged.txt"
+    ERROR_VARIABLE stderr
+    RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "render of the shard caches failed (${status}):\n"
+                        "${stderr}")
+endif()
 expect_identical("${OUT}/reference.txt" "${OUT}/merged.txt"
-                 "sharded (--shard + --merge)")
+                 "sharded (--shard legs' caches, concatenated)")
+if(NOT stderr MATCHES "cache: [0-9]+ hit\\(s\\), 0 miss\\(es\\), 0 insert\\(s\\)")
+    message(FATAL_ERROR "render of the shard caches simulated:\n${stderr}")
+endif()
+if(stderr MATCHES "warn:")
+    message(FATAL_ERROR "render of the shard caches warned:\n${stderr}")
+endif()
+
+# A shard leg's only output is its cache file, so it needs one; and
+# there is no shard-record reader any more.
+function(expect_fatal pattern)
+    execute_process(
+        COMMAND "${CMAKE_COMMAND}" -E env --unset=ACR_CACHE
+                "${BENCH}" "--workloads=${WORKLOADS}" ${ARGN}
+        OUTPUT_QUIET
+        ERROR_VARIABLE stderr
+        RESULT_VARIABLE status)
+    if(NOT status EQUAL 1 OR NOT stderr MATCHES "${pattern}")
+        message(FATAL_ERROR "${ARGN} exited ${status}, want 1 with "
+                            "'${pattern}':\n${stderr}")
+    endif()
+endfunction()
+expect_fatal("--cache" --shard=0/2)
+expect_fatal("unknown option" --merge=x)
 
 run_bench("${OUT}/forked.txt" --forks=2)
 expect_identical("${OUT}/reference.txt" "${OUT}/forked.txt"
@@ -73,5 +123,5 @@ if(NOT stderr MATCHES "ACR_JOBS")
             "parse error does not name the variable:\n${stderr}")
 endif()
 
-message(STATUS "shard smoke: sharded and forked output byte-identical, "
-               "ACR_JOBS parsed strictly")
+message(STATUS "shard smoke: concatenated shard caches and forked "
+               "output byte-identical, ACR_JOBS parsed strictly")

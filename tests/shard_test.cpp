@@ -96,7 +96,7 @@ TEST(ShardParse, AcceptsAndRejects)
 
     // strtol would happily take signs, spaces, and leading zeros;
     // only the canonical `digits/digits` spelling is a valid shard,
-    // so the same string always names the same shard file.
+    // so the same string always names the same slice of the grid.
     for (const char *bad : {"", "/", "1", "3/3", "4/3", "a/2", "1/b",
                             "-1/2", "1/0", "1/2x", "+1/4", " 1/4",
                             "1/+4", "1/ 4", "01/4", "1/04", "0x1/4",

@@ -9,9 +9,9 @@
 #      retry or an older-checkpoint retarget, and validated bit-exact
 #      by the recovery oracle — byte-identically across --jobs=1 and
 #      --jobs=8.
-#   2. The same campaign rendered through the distributed path
-#      (2-shard --shard=i/2 record emission + --merge) stays
-#      byte-identical to the single-process run.
+#   2. The same campaign split into two --shard=i/2 legs, each into
+#      its own --cache, and rendered from the concatenated cache files
+#      stays byte-identical to the single-process run.
 #   3. A storage-fault plan that defeats every escalation rung turns
 #      into a structured UNRECOVERABLE verdict with exit code 5 and a
 #      shrunk joint compute x storage repro line — never silent wrong
@@ -78,19 +78,31 @@ if(NOT stderr MATCHES
             "escalations:\n${stderr}")
 endif()
 
-# 2. Distributed path: 2-shard record emission + --merge must render
-#    byte-identically to the --jobs=1 run.
-run_torture("${OUT}/shard0.ndjson" 0 --jobs=8 --shard=0/2)
-run_torture("${OUT}/shard1.ndjson" 0 --jobs=8 --shard=1/2)
-run_torture("${OUT}/merged.txt" 0
-            "--merge=${OUT}/shard0.ndjson,${OUT}/shard1.ndjson")
+# 2. Sharded path: two legs' caches, concatenated, must render
+#    byte-identically to the --jobs=1 run without simulating.
+file(REMOVE "${OUT}/shard0.cache" "${OUT}/shard1.cache")
+run_torture("${OUT}/shard0.txt" 0 --jobs=8 --shard=0/2
+            "--cache=${OUT}/shard0.cache")
+run_torture("${OUT}/shard1.txt" 0 --jobs=8 --shard=1/2
+            "--cache=${OUT}/shard1.cache")
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E cat
+            "${OUT}/shard0.cache" "${OUT}/shard1.cache"
+    OUTPUT_FILE "${OUT}/all.cache")
+run_torture("${OUT}/merged.txt" 0 "--cache=${OUT}/all.cache")
 execute_process(
     COMMAND "${CMAKE_COMMAND}" -E compare_files
             "${OUT}/jobs1.txt" "${OUT}/merged.txt"
     RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
     message(FATAL_ERROR
-            "2-shard --merge differs from the --jobs=1 render")
+            "2-shard cache render differs from the --jobs=1 render")
+endif()
+file(READ "${OUT}/merged.txt.stderr" stderr)
+if(NOT stderr MATCHES "cache: [0-9]+ hit\\(s\\), 0 miss\\(es\\)"
+   OR stderr MATCHES "warn:")
+    message(FATAL_ERROR "2-shard cache render simulated or warned:\n"
+                        "${stderr}")
 endif()
 
 # 3. Forced escalation exhaustion: a shrunk single-event x single-fault
@@ -130,5 +142,5 @@ if(NOT stderr MATCHES "--storage-mask=")
 endif()
 
 message(STATUS "storage smoke: joint campaign healed deterministically "
-               "(jobs, shards, merge), exhausted ladder exits 5 with "
+               "(jobs, shard caches), exhausted ladder exits 5 with "
                "a shrunk repro")

@@ -3,8 +3,8 @@
  * Fault-tolerance layer tests (DESIGN.md §10): backoff determinism,
  * the forked fleet against stand-in workers that crash at startup or
  * wedge (one process per attempt, every child reaped), the quarantine
- * placeholder and its FAILED-cell rendering, the `failed` wire
- * record, and the restart journal of a killed sweep — the ResultCache
+ * placeholder, its FAILED-cell rendering and the wire's refusal to
+ * encode it, and the restart journal of a killed sweep — the ResultCache
  * seen by grid index (ResultCache::served): fresh/reload round trips
  * through a real sweep, write-failure degrade, torn-tail tolerance
  * and quarantined-point rerun semantics. The cache's own content
@@ -204,19 +204,8 @@ TEST(TableFailedCell, EveryEmitterRendersNonFiniteAsFailed)
     EXPECT_NE(json.str().find("\"FAILED\""), std::string::npos);
 }
 
-TEST(WireFailed, RoundTripsAndResultEncodingRefusesQuarantine)
+TEST(QuarantinedResult, WireRefusesToEncodeIt)
 {
-    wire::FailedRecord record;
-    record.index = 11;
-    record.attempts = 3;
-    record.reason = "worker killed by signal 9";
-    const auto decoded =
-        wire::decodeLine(wire::encodeFailedLine(record));
-    ASSERT_EQ(decoded.type, wire::Record::Type::kFailed);
-    EXPECT_EQ(decoded.failed.index, 11u);
-    EXPECT_EQ(decoded.failed.attempts, 3u);
-    EXPECT_EQ(decoded.failed.reason, record.reason);
-
     // A quarantine placeholder must never masquerade as a result
     // record: its payload is NaN-poisoned, not a measurement.
     EXPECT_THROW(wire::encodeResult(
@@ -379,7 +368,7 @@ TEST(JournalTest, TornFinalLineIsDropped)
     std::remove(path.c_str());
 }
 
-TEST(JournalTest, FailedRecordsAreSkippedSoQuarantinedPointsRerun)
+TEST(JournalTest, QuarantinedPointsAreNotServedSoTheyRerun)
 {
     const auto grid = tinyGrid();
     const auto path = journalPath("failed");

@@ -42,7 +42,6 @@ randomConfig(std::mt19937_64 &rng)
     config.placement = static_cast<PlacementPolicy>(pick(2));
     config.placementSlack = pick(101) / 100.0;
     config.seed = rng();
-    config.verifyFinalState = pick(2) == 0;
     config.oracle = config.mode != BerMode::kNoCkpt && pick(2) == 0;
     config.faultEventMask = pick(2) == 0 ? ~std::uint64_t{0} : rng() | 1;
     // NoCkpt stores nothing, so only checkpointing modes vary the
@@ -112,7 +111,6 @@ expectConfigEqual(const ExperimentConfig &a, const ExperimentConfig &b)
     EXPECT_EQ(a.placement, b.placement);
     EXPECT_EQ(a.placementSlack, b.placementSlack);
     EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.verifyFinalState, b.verifyFinalState);
     EXPECT_EQ(a.oracle, b.oracle);
     EXPECT_EQ(a.faultEventMask, b.faultEventMask);
     EXPECT_EQ(a.backend, b.backend);
@@ -259,19 +257,6 @@ TEST(WireRecords, LineRoundTripAndTags)
     ASSERT_EQ(decoded.type, wire::Record::Type::kResult);
     EXPECT_EQ(decoded.result.index, 7u);
     EXPECT_EQ(wire::encodeResultLine(decoded.result), result_line);
-
-    wire::ManifestRecord manifest{"fig06", 1, 2, 70, 0xfeedface};
-    const std::string manifest_line =
-        wire::encodeManifestLine(manifest);
-    decoded = wire::decodeLine(manifest_line);
-    ASSERT_EQ(decoded.type, wire::Record::Type::kManifest);
-    EXPECT_EQ(decoded.manifest.bench, "fig06");
-    EXPECT_EQ(decoded.manifest.shard, 1u);
-    EXPECT_EQ(decoded.manifest.shardCount, 2u);
-    EXPECT_EQ(decoded.manifest.gridPoints, 70u);
-    EXPECT_EQ(decoded.manifest.gridHash, 0xfeedfaceu);
-    EXPECT_EQ(wire::encodeManifestLine(decoded.manifest),
-              manifest_line);
 }
 
 TEST(WireRecords, VersionAndTypeEnforced)
