@@ -25,10 +25,11 @@
  *
  *   --backends=a,b,c (ACR_BACKENDS)  subset of log,replicated,nvm
  *   --errors=a,b,... (ACR_ERRORS)    error counts per run (0 = clean)
- *   --oracle=on|off  (ACR_ORACLE)    differential recovery validation
+ *   --oracle=on|off  (ACR_ORACLE)    the oracle's shadow checks
  *
- * Exit codes: 0 clean, 3 quarantined points, 4 oracle divergence
- * (max-combined, harness/exit_code.hh).
+ * Exit codes (benchMain's verdict exit): 0 clean, 3 quarantined
+ * points, 4 oracle divergence, 5 unrecoverable point (max-combined,
+ * harness/exit_code.hh).
  */
 
 #include <cstdint>
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "harness/exit_code.hh"
 
 namespace
 {
@@ -74,25 +74,6 @@ modeName(BerMode mode)
     return mode == BerMode::kCkpt ? "Ckpt" : "ReCkpt";
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::string part;
-    for (char c : text) {
-        if (c == ',') {
-            if (!part.empty())
-                parts.push_back(part);
-            part.clear();
-        } else {
-            part += c;
-        }
-    }
-    if (!part.empty())
-        parts.push_back(part);
-    return parts;
-}
-
 void
 declareOptions(OptionParser &parser)
 {
@@ -102,8 +83,9 @@ declareOptions(OptionParser &parser)
                      "comma-separated error counts per run (0 = "
                      "error-free)");
     parser.addString("oracle", "on",
-                     "differential recovery validation on every "
-                     "checkpointing point: on or off");
+                     "the recovery oracle's shadow checks on every "
+                     "checkpointing point: on or off (recomputation and "
+                     "the final image are always checked)");
 
     // One validation path for both spellings: the environment value is
     // assigned through the identical strict parse as --flag=value, and
@@ -118,7 +100,7 @@ readOptions(const OptionParser &parser)
 {
     selection.backends.clear();
     for (const std::string &name :
-         splitList(parser.getString("backends"))) {
+         splitCommaList(parser.getString("backends"))) {
         ckpt::Backend backend;
         if (!ckpt::parseBackend(name, backend))
             fatal("--backends: '%s' is not a backend (have: log, "
@@ -131,7 +113,7 @@ readOptions(const OptionParser &parser)
 
     selection.errors.clear();
     for (const std::string &text :
-         splitList(parser.getString("errors"))) {
+         splitCommaList(parser.getString("errors"))) {
         unsigned long long value = 0;
         if (!parseStrictUint(text, value) || value > 64)
             fatal("--errors: '%s' is not an error count in 0..64",
@@ -249,15 +231,6 @@ main(int argc, char **argv)
                  "replicated pays k-copy traffic and full-log "
                  "rollbacks; nvm pays establishment for persistence "
                  "and gains the most from amnesic omission)\n");
-    };
-    spec.exitCode = [](harness::BenchContext &,
-                       const std::vector<ExperimentResult> &results) {
-        int code = harness::kExitClean;
-        for (const auto &result : results)
-            if (!result.failed && result.oracleDivergences > 0)
-                code = harness::combineExitCodes(
-                    code, harness::kExitDivergence);
-        return code;
     };
     return harness::benchMain(argc, argv, spec);
 }

@@ -16,8 +16,11 @@
  * campaign shrinks the compute event mask first, then the storage
  * mask with the compute events fixed.
  *
- * Exit codes: 0 clean, 3 quarantined points (sweep layer), 4 oracle
- * divergence, 5 unrecoverable point (the torture verdicts; max wins).
+ * Exit codes (benchMain's verdict exit, shared by every bench): 0
+ * clean, 3 quarantined points, 4 oracle divergence, 5 unrecoverable
+ * point (max wins). With --oracle=off the oracle still audits every
+ * recomputation and the final image, so a diverging point still exits
+ * 4 and shrinks.
  *
  * Every campaign knob is a flag with a matching environment variable
  * (flag wins), both validated by the same strict parser:
@@ -27,7 +30,8 @@
  *   --seeds=N           ACR_TORTURE_SEEDS         seeds per grid point
  *   --campaign-seed=S   ACR_CAMPAIGN_SEED         base seed (point i
  *                                                 runs S + i)
- *   --oracle=on|off     ACR_ORACLE                recovery validation
+ *   --oracle=on|off     ACR_ORACLE                the oracle's shadow
+ *                                                 checks
  *   --event-mask=M      ACR_EVENT_MASK            FaultPlan bit mask
  *                                                 (keep event i iff bit
  *                                                 i % 64; shrinker sets
@@ -51,7 +55,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "harness/exit_code.hh"
 
 namespace
 {
@@ -96,25 +99,6 @@ coordName(ckpt::Coordination coordination)
                                                        : "local";
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::string part;
-    for (char c : text) {
-        if (c == ',') {
-            if (!part.empty())
-                parts.push_back(part);
-            part.clear();
-        } else {
-            part += c;
-        }
-    }
-    if (!part.empty())
-        parts.push_back(part);
-    return parts;
-}
-
 void
 declareOptions(OptionParser &parser)
 {
@@ -124,7 +108,9 @@ declareOptions(OptionParser &parser)
     parser.addUint("campaign-seed", 0xacce55ULL,
                    "base FaultPlan seed; seed index i runs base + i");
     parser.addString("oracle", "on",
-                     "differential recovery validation: on or off");
+                     "the recovery oracle's shadow checks: on or off "
+                     "(recomputation and the final image are always "
+                     "checked)");
     parser.addUint("event-mask", ~std::uint64_t{0},
                    "FaultPlan event mask: keep planned error i iff bit "
                    "(i % 64) is set (repro lines from the shrinker "
@@ -205,7 +191,7 @@ readOptions(const OptionParser &parser)
         fatal("--oracle expects on or off, got '%s'", oracle.c_str());
 
     campaign.modes.clear();
-    for (const auto &name : splitList(parser.getString("modes"))) {
+    for (const auto &name : splitCommaList(parser.getString("modes"))) {
         if (name == "ckpt")
             campaign.modes.push_back(BerMode::kCkpt);
         else if (name == "reckpt")
@@ -218,7 +204,7 @@ readOptions(const OptionParser &parser)
         fatal("--modes selected nothing");
 
     campaign.coords.clear();
-    for (const auto &name : splitList(parser.getString("coords"))) {
+    for (const auto &name : splitCommaList(parser.getString("coords"))) {
         if (name == "global")
             campaign.coords.push_back(ckpt::Coordination::kGlobal);
         else if (name == "local")
@@ -231,7 +217,7 @@ readOptions(const OptionParser &parser)
         fatal("--coords selected nothing");
 
     campaign.backends.clear();
-    for (const auto &name : splitList(parser.getString("backends"))) {
+    for (const auto &name : splitCommaList(parser.getString("backends"))) {
         ckpt::Backend backend;
         if (!ckpt::parseBackend(name, backend))
             fatal("--backends expects log/replicated/nvm entries, got "
@@ -243,7 +229,7 @@ readOptions(const OptionParser &parser)
         fatal("--backends selected nothing");
 
     campaign.lats.clear();
-    for (const auto &text : splitList(parser.getString("lats"))) {
+    for (const auto &text : splitCommaList(parser.getString("lats"))) {
         double lat = 0.0;
         if (!parseStrictDouble(text, lat) || lat < 0.0 || lat > 1.0)
             fatal("--lats entries must be numbers in [0, 1], got '%s'",
@@ -551,21 +537,6 @@ main(int argc, char **argv)
                         masks.storageMask));
             std::cerr << repro << " --jobs=1\n";
         }
-    };
-    spec.exitCode = [](harness::BenchContext &,
-                       const std::vector<ExperimentResult> &results) {
-        int code = harness::kExitClean;
-        for (const auto &result : results) {
-            if (result.failed)
-                continue;
-            if (result.oracleDivergences > 0)
-                code = harness::combineExitCodes(
-                    code, harness::kExitDivergence);
-            if (result.unrecoverable)
-                code = harness::combineExitCodes(
-                    code, harness::kExitUnrecoverable);
-        }
-        return code;
     };
     return harness::benchMain(argc, argv, spec);
 }

@@ -2,12 +2,11 @@
  * @file
  * Audit hook between the CheckpointManager and a recovery validator.
  *
- * Recovery used to verify amnesic recomputation with a process-aborting
- * assert. With an auditor installed the manager instead *reports* a
- * mismatch (with the originating record, so the validator can attribute
- * it to an address, writer, and slice) and heals the word from the
- * record's shadow value so the campaign can continue and surface every
- * divergence, not just the first.
+ * Every manager reports each recomputation mismatch to its auditor
+ * (with the originating record, so the validator can attribute it to
+ * an address, writer, and slice) and heals the word from the record's
+ * shadow value, so a campaign continues and surfaces every divergence
+ * as a structured verdict instead of aborting on the first.
  */
 
 #ifndef ACR_CKPT_AUDITOR_HH
@@ -28,13 +27,15 @@ class RecoveryAuditor
 
     /**
      * A Slice replay produced @p replayed for @p record (whose
-     * `oldValue` shadow holds the expected word) while undoing the log
-     * of checkpoint interval @p interval. The manager heals the word
+     * `oldValue` shadow holds the expected word) while the manager's
+     * recovery number @p recovery (1-based) undid the log of
+     * checkpoint interval @p interval. The manager heals the word
      * from the shadow after reporting.
      */
     virtual void onRecomputeMismatch(const LogRecord &record,
                                      Word replayed,
-                                     std::uint64_t interval) = 0;
+                                     std::uint64_t interval,
+                                     std::uint64_t recovery) = 0;
 };
 
 } // namespace acr::ckpt

@@ -43,8 +43,10 @@ testHookOrdinal(const char *name)
 CheckpointManager::CheckpointManager(const Config &config,
                                      sim::MulticoreSystem &system,
                                      RecomputeProvider *provider,
+                                     RecoveryAuditor &auditor,
                                      StatSet &stats)
-    : config_(config), system_(system), provider_(provider), stats_(stats),
+    : config_(config), system_(system), provider_(provider),
+      auditor_(auditor), stats_(stats),
       store_(makeCheckpointStore(config.backend, system, stats,
                                  config.archBytesPerCore)),
       amnesicOk_(provider != nullptr && store_->supportsAmnesic())
@@ -228,16 +230,10 @@ CheckpointManager::applyLog(const IntervalLog &log,
                 flipReplayAt_ = 0;
             }
             if (value != record.oldValue) {
-                if (auditor_ != nullptr) {
-                    auditor_->onRecomputeMismatch(record, value,
-                                                  log.interval());
-                    value = record.oldValue;  // heal from the shadow
-                } else {
-                    ACR_ASSERT(value == record.oldValue,
-                               "recomputation mismatch at addr %llu",
-                               static_cast<unsigned long long>(
-                                   record.addr));
-                }
+                auditor_.onRecomputeMismatch(record, value,
+                                             log.interval(),
+                                             recoveryOrdinal_);
+                value = record.oldValue;  // heal from the shadow
             }
             system_.memory().write(record.addr, value);
 
@@ -401,12 +397,31 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
                 break;
             }
         }
-        if (target == nullptr && store_->faultsArmed())
-            return unrecoverable(
-                "no intact rollback target for the affected cores");
-        ACR_ASSERT(target != nullptr,
-                   "no safe checkpoint: detection latency exceeded the "
-                   "checkpoint period");
+        if (target == nullptr) {
+            // Say why each retained checkpoint was refused, in the
+            // order of the test above (pure queries: the integrity
+            // checks were already charged).
+            std::string detail = csprintf(
+                "no intact rollback target for the affected cores "
+                "(mask %#llx):",
+                static_cast<unsigned long long>(affected));
+            const char *sep = " ";
+            for (const Checkpoint &ckpt : retained_) {
+                const char *why =
+                    ckpt.index >= below ? "arch state unreadable"
+                    : ckpt.establishedAt >= error_time
+                        ? "established after the error"
+                    : (ckpt.validFor & affected) != affected
+                        ? "not valid for these cores"
+                        : "torn";
+                detail += csprintf("%sckpt %llu %s", sep,
+                                   static_cast<unsigned long long>(
+                                       ckpt.index),
+                                   why);
+                sep = ", ";
+            }
+            return unrecoverable(detail);
+        }
 
         // Apply undo logs newest -> oldest; older records overwrite
         // newer ones, landing memory on the target checkpoint's state.
@@ -495,7 +510,6 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
         if (ckpt.index > target->index) {
             ckpt.log.removeWriters(affected);
             ckpt.validFor &= ~affected;
-            store_->onCheckpointInvalidated(ckpt, affected);
         }
     }
 

@@ -62,12 +62,14 @@ struct RecoveryOutcome
      *  (arch state) and restarted against the older retained
      *  checkpoint (second rung; wider recompute window). */
     unsigned retargets = 0;
-    /** Every rung failed: the machine cannot be restored to any safe
-     *  checkpoint. The run must surface a structured failure (exit 5)
-     *  — none of the other fields below affected/failureDetail are
-     *  meaningful. */
+    /** The machine cannot be restored to any safe checkpoint: every
+     *  escalation rung failed, or no retained checkpoint was a safe
+     *  target for the affected cores. The run must surface a
+     *  structured failure (exit 5) — none of the other fields below
+     *  affected/failureDetail are meaningful. */
     bool unrecoverable = false;
-    /** Which datum was unserveable, when unrecoverable. */
+    /** Why, when unrecoverable: the unserveable datum, or each
+     *  retained checkpoint's refusal. */
     std::string failureDetail;
 };
 
@@ -88,10 +90,13 @@ class CheckpointManager
     /**
      * @param provider  recomputation engine, or null for the plain
      *                  baseline (every record carries its old value)
+     * @param auditor   told of every recomputation mismatch, which the
+     *                  manager then heals from the record's shadow
      * @param stats     shared statistics sink
      */
     CheckpointManager(const Config &config, sim::MulticoreSystem &system,
-                      RecomputeProvider *provider, StatSet &stats);
+                      RecomputeProvider *provider,
+                      RecoveryAuditor &auditor, StatSet &stats);
 
     /**
      * Record checkpoint 0: the initial machine state at cycle 0. Must be
@@ -122,8 +127,9 @@ class CheckpointManager
      * (kReplicated); corrupt per-checkpoint data (arch state, torn
      * establishment) re-targets the older retained checkpoint and
      * restarts the rollback (the wider window's reads and replays are
-     * charged again — honestly); when no rung is left the outcome
-     * comes back unrecoverable and the machine state is undefined.
+     * charged again — honestly). When no rung is left, or no retained
+     * checkpoint is a safe target at all, the outcome comes back
+     * unrecoverable and the machine state is undefined.
      */
     RecoveryOutcome recover(CoreId failing, Cycle error_time,
                             Cycle detection_time);
@@ -135,14 +141,6 @@ class CheckpointManager
     {
         store_->setFaultInjector(faults);
     }
-
-    /**
-     * Install a recovery auditor. With an auditor present, a
-     * recomputation mismatch during rollback is reported (and the word
-     * healed from the record's shadow value) instead of aborting the
-     * process; without one, the historical ACR_ASSERT stands.
-     */
-    void setAuditor(RecoveryAuditor *auditor) { auditor_ = auditor; }
 
     /** Number of checkpoints established (excluding checkpoint 0). */
     std::uint64_t checkpointsEstablished() const { return established_; }
@@ -205,8 +203,8 @@ class CheckpointManager
     Config config_;
     sim::MulticoreSystem &system_;
     RecomputeProvider *provider_;
+    RecoveryAuditor &auditor_;
     StatSet &stats_;
-    RecoveryAuditor *auditor_ = nullptr;
     std::unique_ptr<CheckpointStore> store_;
     /** provider_ != null && the store accepts amnesic omission —
      *  cached so the hot onStore path skips a virtual call. */

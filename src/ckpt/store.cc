@@ -112,12 +112,6 @@ class LogStore final : public CheckpointStore
     }
 
     Cycle
-    writeRecomputed(const LogRecord &record, Cycle issue_at) override
-    {
-        return system_.caches().dram().wordWrite(record.addr, issue_at);
-    }
-
-    Cycle
     readArchState(CoreId core, Cycle issue_at,
                   unsigned replica) override
     {
@@ -218,15 +212,6 @@ class ReplicatedStore final : public CheckpointStore
     }
 
     Cycle
-    writeRecomputed(const LogRecord &record, Cycle issue_at) override
-    {
-        // Unreachable under the manager (amnesic omission is disabled
-        // for this store), but well-defined: the recomputed value only
-        // needs the working-memory write.
-        return system_.caches().dram().wordWrite(record.addr, issue_at);
-    }
-
-    Cycle
     readArchState(CoreId core, Cycle issue_at,
                   unsigned replica) override
     {
@@ -321,13 +306,6 @@ class NvmStore final : public CheckpointStore
         Cycle t2 =
             system_.caches().dram().wordWrite(record.addr, issue_at);
         return std::max(t1, t2);
-    }
-
-    Cycle
-    writeRecomputed(const LogRecord &record, Cycle issue_at) override
-    {
-        // Recomputed values never touched the NVM tier.
-        return system_.caches().dram().wordWrite(record.addr, issue_at);
     }
 
     Cycle
@@ -429,6 +407,12 @@ archChecksum(const cpu::ArchState &arch, Word flip = 0)
 }
 
 } // namespace
+
+Cycle
+CheckpointStore::writeRecomputed(const LogRecord &record, Cycle issue_at)
+{
+    return system_.caches().dram().wordWrite(record.addr, issue_at);
+}
 
 void
 CheckpointStore::setFaultInjector(fault::StorageFaultInjector *faults)

@@ -143,11 +143,13 @@ struct IntervalSizes
  *    manager stalls the group to it.
  *  - accountFootprint() fills the interval's stored-bytes fields for
  *    this medium (what Fig. 9/10-style metrics read).
- *  - restoreWord()/writeRecomputed()/readArchState() charge rollback
- *    traffic; the returned cycles feed the recovery's resume time.
- *  - onCheckpointRetired()/onCheckpointInvalidated() observe the
- *    manager's retention decisions (reclamation hooks; the base class
- *    prunes its integrity state there).
+ *  - restoreWord()/readArchState() charge rollback traffic; the
+ *    returned cycles feed the recovery's resume time. A recomputed
+ *    word was never stored, so writeRecomputed() charges the same
+ *    working-memory write on every medium.
+ *  - onCheckpointRetired() observes the manager's retention decisions
+ *    (a reclamation hook; the base class prunes its integrity state
+ *    there).
  *  - supportsAmnesic() gates ACR's amnesic omission: a store that
  *    serves recovery from stored bytes alone (kReplicated) must see
  *    every old value, so the manager logs records non-amnesically.
@@ -207,9 +209,9 @@ class CheckpointStore
                               unsigned replica) = 0;
 
     /** Charge writing a recomputed (amnesic) word to working memory —
-     *  the value was never stored; returns the completion cycle. */
-    virtual Cycle writeRecomputed(const LogRecord &record,
-                                  Cycle issue_at) = 0;
+     *  the value never touched the medium; returns the completion
+     *  cycle. */
+    Cycle writeRecomputed(const LogRecord &record, Cycle issue_at);
 
     /** Charge reading core @p core's checkpointed architectural state
      *  from copy @p replica of the store; returns the completion
@@ -217,27 +219,15 @@ class CheckpointStore
     virtual Cycle readArchState(CoreId core, Cycle issue_at,
                                 unsigned replica) = 0;
 
-    /** The manager dropped @p ckpt from retention (oldest-first);
-     *  overriders must call the base, which prunes integrity state. */
-    virtual void onCheckpointRetired(const Checkpoint &ckpt);
-
-    /** A rollback invalidated @p ckpt as a target for @p cores. */
-    virtual void
-    onCheckpointInvalidated(const Checkpoint &ckpt,
-                            cache::SharerMask cores)
-    {
-        (void)ckpt;
-        (void)cores;
-    }
+    /** The manager dropped @p ckpt from retention (oldest-first):
+     *  prune the integrity state kept for it. */
+    void onCheckpointRetired(const Checkpoint &ckpt);
 
     // --- Integrity layer (base-class; inert without an injector) ---
 
     /** Arm the storage-fault integrity layer; null disarms it (the
      *  reliable-medium model, the default). */
     void setFaultInjector(fault::StorageFaultInjector *faults);
-
-    /** Is a storage-fault injector armed? */
-    bool faultsArmed() const { return faults_ != nullptr; }
 
     /** The manager finished establishing @p ckpt: checksum its stored
      *  data and apply the storage-fault events due at its ordinal. */

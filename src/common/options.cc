@@ -98,6 +98,18 @@ parseHostPort(const std::string &spec, std::string &host,
     return true;
 }
 
+std::vector<std::string>
+splitCommaList(const std::string &text)
+{
+    std::vector<std::string> parts;
+    std::stringstream stream(text);
+    std::string part;
+    while (std::getline(stream, part, ','))
+        if (!part.empty())
+            parts.push_back(part);
+    return parts;
+}
+
 OptionParser::OptionParser(std::string program_name)
     : programName_(std::move(program_name))
 {

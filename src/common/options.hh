@@ -42,6 +42,10 @@ bool parseStrictDouble(const std::string &text, double &out);
 bool parseHostPort(const std::string &spec, std::string &host,
                    std::uint16_t &port, bool allow_zero_port);
 
+/** The nonempty pieces of a comma-separated list flag ("a,,b," gives
+ *  a and b; "" gives none). */
+std::vector<std::string> splitCommaList(const std::string &text);
+
 /** Declarative command-line option parser. */
 class OptionParser
 {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/options.hh"
@@ -18,18 +17,6 @@ namespace acr::harness
 
 namespace
 {
-
-std::vector<std::string>
-splitCommaList(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::stringstream stream(text);
-    std::string part;
-    while (std::getline(stream, part, ','))
-        if (!part.empty())
-            parts.push_back(part);
-    return parts;
-}
 
 std::vector<std::string>
 resolveWorkloads(const std::string &flag, const BenchSpec &spec)
@@ -203,39 +190,46 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
 }
 
 /**
- * Report quarantined and unrecoverable points (results[slot] belongs
- * to grid index indices[slot]) to stderr and pick the process exit
- * code: kExitClean for a clean sweep, kExitQuarantine when any point
- * failed every attempt, kExitUnrecoverable when any point's storage
- * faults defeated the escalation ladder (precedence:
- * harness/exit_code.hh).
+ * The one verdict exit of every mode that runs points: report each
+ * quarantined, diverging and unrecoverable point (results[slot]
+ * belongs to grid index indices[slot]) with one stderr line, and pick
+ * the process exit code — kExitQuarantine when any point failed every
+ * attempt, kExitDivergence when the recovery oracle found any
+ * divergence, kExitUnrecoverable when any point lost its machine
+ * (precedence: harness/exit_code.hh).
  */
 int
-quarantineExit(const std::vector<GridPoint> &grid,
-               const std::vector<std::size_t> &indices,
-               const std::vector<ExperimentResult> &results)
+verdictExit(const std::vector<GridPoint> &grid,
+            const std::vector<std::size_t> &indices,
+            const std::vector<ExperimentResult> &results)
 {
     std::size_t failures = 0;
+    std::size_t divergent = 0;
     std::size_t losses = 0;
     for (std::size_t slot = 0; slot < results.size(); ++slot) {
+        const ExperimentResult &result = results[slot];
         const std::size_t index = indices[slot];
-        if (results[slot].unrecoverable) {
-            ++losses;
-            std::cerr << "[sweep] UNRECOVERABLE point " << index << " ("
-                      << grid[index].workload << ", "
-                      << grid[index].config.label()
-                      << "): " << results[slot].unrecoverableDetail
-                      << "\n";
+        const std::string where =
+            csprintf("point %zu (%s, %s)", index,
+                     grid[index].workload.c_str(),
+                     grid[index].config.label().c_str());
+        if (result.failed) {
+            ++failures;
+            std::cerr << "[sweep] FAILED " << where << " after "
+                      << result.attempts
+                      << " attempt(s): " << result.failReason << "\n";
         }
-        if (!results[slot].failed)
-            continue;
-        ++failures;
-        std::cerr << "[sweep] FAILED point " << index << " ("
-                  << grid[index].workload << ", "
-                  << grid[index].config.label() << ") after "
-                  << results[slot].attempts
-                  << " attempt(s): " << results[slot].failReason
-                  << "\n";
+        if (result.oracleDivergences > 0) {
+            ++divergent;
+            std::cerr << "[sweep] DIVERGED " << where << ": "
+                      << result.oracleDivergences
+                      << " oracle divergence(s)\n";
+        }
+        if (result.unrecoverable) {
+            ++losses;
+            std::cerr << "[sweep] UNRECOVERABLE " << where << ": "
+                      << result.unrecoverableDetail << "\n";
+        }
     }
     int code = kExitClean;
     if (failures != 0) {
@@ -244,10 +238,16 @@ quarantineExit(const std::vector<GridPoint> &grid,
                      "partial (NaN-derived columns show FAILED)\n";
         code = combineExitCodes(code, kExitQuarantine);
     }
+    if (divergent != 0) {
+        std::cerr << "[sweep] " << divergent << " of " << results.size()
+                  << " point(s) diverged: the recovery oracle caught a "
+                     "wrong recovery (DESIGN.md §12)\n";
+        code = combineExitCodes(code, kExitDivergence);
+    }
     if (losses != 0) {
         std::cerr << "[sweep] " << losses << " of " << results.size()
-                  << " point(s) unrecoverable: storage faults "
-                     "defeated every escalation rung (DESIGN.md §16)\n";
+                  << " point(s) unrecoverable: no rollback target "
+                     "could be restored (DESIGN.md §16)\n";
         code = combineExitCodes(code, kExitUnrecoverable);
     }
     return code;
@@ -355,11 +355,7 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     // A shard leg renders nothing: its output is its cache file.
     if (!options.shardMode)
         spec.render(context, results);
-    int code = quarantineExit(grid, owned, results);
-    if (!options.shardMode && spec.exitCode)
-        code = combineExitCodes(code,
-                                spec.exitCode(context, results));
-    return code;
+    return verdictExit(grid, owned, results);
 }
 
 } // namespace acr::harness

@@ -62,9 +62,15 @@
  * files of `--shard` legs is byte-identical (host timing goes to
  * stderr) — including when points were retried after worker crashes,
  * transport faults, or disconnections, or served from the
- * content-addressed result cache. A sweep with quarantined points
- * renders FAILED cells and exits 3; a shard leg with one exits 3 and
- * does not store it, so the render retries it.
+ * content-addressed result cache.
+ *
+ * Verdicts: benchMain alone maps results to the exit code, in every
+ * mode that runs points (a `--shard` leg included), with one `[sweep]`
+ * stderr line per affected point: a quarantined point exits 3 (the
+ * table renders FAILED cells; a shard leg does not store it, so the
+ * render retries it), a point with recovery-oracle divergences exits
+ * 4, and an unrecoverable point exits 5. The most severe wins
+ * (harness/exit_code.hh).
  */
 
 #ifndef ACR_HARNESS_BENCH_MAIN_HH
@@ -183,13 +189,6 @@ struct BenchSpec
      *  callbacks consult). Runs in --worker mode too, so workers
      *  inherit the same settings through their environment. */
     std::function<void(const OptionParser &)> readOptions;
-
-    /** Pick an extra exit code from the rendered results (optional).
-     *  Called wherever render is (not in shard or worker mode); the
-     *  process exits with max(quarantine code, this). */
-    std::function<int(BenchContext &,
-                      const std::vector<ExperimentResult> &)>
-        exitCode;
 };
 
 /** Run a bench binary: parse the common flags, execute the requested

@@ -1,6 +1,7 @@
 #include "harness/ber_runtime.hh"
 
 #include <memory>
+#include <string>
 
 #include "acr/acr_engine.hh"
 #include "common/logging.hh"
@@ -22,7 +23,7 @@ namespace
 class DriverObserver final : public cpu::ExecObserver
 {
   public:
-    DriverObserver(ckpt::CheckpointManager *manager,
+    DriverObserver(ckpt::CheckpointManager &manager,
                    amnesic::AcrEngine *acr, slice::SliceEngine *slicer)
         : manager_(manager), acr_(acr), slicer_(slicer)
     {
@@ -35,8 +36,7 @@ class DriverObserver final : public cpu::ExecObserver
             // The logging decision must see the producer map as of
             // *before* this store (the old value's producer), so the
             // manager runs first and the ASSOC-ADDR update second.
-            if (manager_)
-                manager_->onStore(event.core, event.addr, event.oldValue);
+            manager_.onStore(event.core, event.addr, event.oldValue);
             if (acr_)
                 acr_->onStoreRetired(event);
             return;
@@ -46,7 +46,7 @@ class DriverObserver final : public cpu::ExecObserver
     }
 
   private:
-    ckpt::CheckpointManager *manager_;
+    ckpt::CheckpointManager &manager_;
     amnesic::AcrEngine *acr_;
     slice::SliceEngine *slicer_;
 };
@@ -60,22 +60,23 @@ BerRuntime::run(const isa::Program &program,
                 const amnesic::SlicePassResult &profile,
                 PrefixHandle *prefix)
 {
+    const std::string invalid = config.validate();
+    ACR_ASSERT(invalid.empty(), "invalid ExperimentConfig: %s",
+               invalid.c_str());
     ACR_ASSERT(profile.totalProgress > 0, "profile has no progress");
 
     ExperimentResult result;
     StatSet &stats = result.stats;
 
-    // An error-free NoCkpt run replays the slice pass step for step:
-    // same program, same machine, and an observer that never perturbs
-    // timing. The pass already recorded everything such a run would
-    // measure (cycles, exported counters, the final image), so answer
-    // from the profile instead of re-simulating. Final-state
-    // verification holds trivially — the reference image *is* this
-    // execution's image. The guards keep every config that could
-    // diverge (errors, oracle) on the full simulation path; NoCkpt
-    // configs reject most of those anyway.
-    if (config.mode == BerMode::kNoCkpt && config.numErrors == 0 &&
-        !config.oracle) {
+    // A NoCkpt run replays the slice pass step for step: same program,
+    // same machine, and an observer that never perturbs timing. The
+    // pass already recorded everything such a run would measure
+    // (cycles, exported counters, the final image), so answer from the
+    // profile instead of re-simulating. Final-state verification holds
+    // trivially — the reference image *is* this execution's image —
+    // and validate() rejects every NoCkpt config that could diverge
+    // (errors, the oracle, storage faults, a non-log backend).
+    if (config.mode == BerMode::kNoCkpt) {
         result.stats = profile.stats;
         stats.set("sim.numCores", static_cast<double>(machine.numCores));
         energy::EnergyModel energy_model;
@@ -105,22 +106,19 @@ BerRuntime::run(const isa::Program &program,
                                                    stats);
     }
 
+    // --- Recovery validation (DESIGN.md §12.1) ---
+    // Every run's oracle audits recomputation and checks the final
+    // image; config.oracle arms its shadow hooks on top.
+    validate::RecoveryOracle oracle(system, stats);
+
     // --- Checkpoint substrate ---
-    std::unique_ptr<ckpt::CheckpointManager> manager;
-    if (config.mode != BerMode::kNoCkpt) {
-        ckpt::CheckpointManager::Config mgr_config;
-        mgr_config.mode = config.coordination;
-        mgr_config.backend = config.backend;
-        manager = std::make_unique<ckpt::CheckpointManager>(
-            mgr_config, system, acr.get(), stats);
-        manager->initialCheckpoint();
-    }
+    ckpt::CheckpointManager manager({config.coordination, config.backend},
+                                    system, acr.get(), oracle, stats);
+    manager.initialCheckpoint();
 
     // --- Storage-fault injection (DESIGN.md §16) ---
     std::unique_ptr<fault::StorageFaultInjector> storage_faults;
     if (config.storageErrors > 0) {
-        ACR_ASSERT(manager != nullptr,
-                   "storage faults require a checkpointing mode");
         // Ordinal-keyed against establishment, seeded off the compute-
         // error seed (salted so the two plans draw independent
         // streams) and shrinkable through storageFaultMask exactly
@@ -132,19 +130,10 @@ BerRuntime::run(const isa::Program &program,
                         .masked(config.storageFaultMask);
         storage_faults = std::make_unique<fault::StorageFaultInjector>(
             plan, stats);
-        manager->setStorageFaults(storage_faults.get());
+        manager.setStorageFaults(storage_faults.get());
     }
-
-    // --- Recovery validation (oracle) ---
-    std::unique_ptr<validate::RecoveryOracle> oracle;
-    if (config.oracle) {
-        ACR_ASSERT(manager != nullptr,
-                   "the oracle requires a checkpointing mode");
-        oracle = std::make_unique<validate::RecoveryOracle>(
-            system, machine, config.coordination, stats);
-        manager->setAuditor(oracle.get());
-        oracle->onInitialCheckpoint(*manager);
-    }
+    if (config.oracle)
+        oracle.onInitialCheckpoint(manager);
 
     // --- Error injection ---
     const std::uint64_t period =
@@ -153,8 +142,6 @@ BerRuntime::run(const isa::Program &program,
         profile.cycles / (config.numCheckpoints + 1);
     std::unique_ptr<fault::ErrorInjector> injector;
     if (config.numErrors > 0) {
-        ACR_ASSERT(manager != nullptr,
-                   "errors require a checkpointing mode");
         Cycle latency = static_cast<Cycle>(
             config.detectionLatencyFraction *
             static_cast<double>(period_cycles));
@@ -165,21 +152,22 @@ BerRuntime::run(const isa::Program &program,
         injector = std::make_unique<fault::ErrorInjector>(plan, stats);
     }
 
-    DriverObserver observer(manager.get(), acr.get(), slicer.get());
+    DriverObserver observer(manager, acr.get(), slicer.get());
 
-    // Storage faults defeated every escalation rung mid-rollback: the
-    // modeled machine is lost and the run stops at the failed
-    // recovery with a structured outcome (DESIGN.md §16).
+    // No rollback target could be restored (storage faults defeated
+    // every escalation rung, or none was safe): the modeled machine is
+    // lost and the run stops at the failed recovery with a structured
+    // outcome (DESIGN.md §16).
     bool lost = false;
 
     auto handle_detection = [&](const fault::DetectionEvent &detection) {
-        if (oracle)
-            oracle->beforeRecovery(*manager);
-        auto outcome = manager->recover(detection.core,
-                                        detection.errorTime,
-                                        detection.detectTime);
-        if (oracle)
-            oracle->afterRecovery(*manager, outcome);
+        if (config.oracle)
+            oracle.beforeRecovery(manager);
+        auto outcome = manager.recover(detection.core,
+                                       detection.errorTime,
+                                       detection.detectTime);
+        if (config.oracle)
+            oracle.afterRecovery(manager, outcome, detection.errorTime);
         if (outcome.unrecoverable) {
             result.unrecoverable = true;
             result.unrecoverableDetail = outcome.failureDetail;
@@ -206,7 +194,7 @@ BerRuntime::run(const isa::Program &program,
         return outcome;
     };
 
-    std::uint64_t next_ckpt = manager ? period : ~std::uint64_t{0};
+    std::uint64_t next_ckpt = period;
 
     // --- Prefix sharing (DESIGN.md §13) ---
     // Resume: overwrite the freshly built components with the donor
@@ -215,10 +203,10 @@ BerRuntime::run(const isa::Program &program,
     // oracle, stateless backend, trigger >= snapshot).
     bool resume_pending = false;
     if (prefix && prefix->resume) {
-        ACR_ASSERT(manager && !oracle,
+        ACR_ASSERT(!config.oracle,
                    "prefix resume with an ineligible configuration");
         resumePrefix(*prefix->resume, system, next_ckpt, stats,
-                     slicer.get(), acr.get(), *manager);
+                     slicer.get(), acr.get(), manager);
         resume_pending = true;
     }
 
@@ -236,11 +224,11 @@ BerRuntime::run(const isa::Program &program,
         // happened strictly below the threshold, so any run whose
         // first trigger is >= captureAt reaches this exact state.
         if (prefix && prefix->captureAt != 0 && !prefix->captured &&
-            manager && system.progress() >= prefix->captureAt) {
+            system.progress() >= prefix->captureAt) {
             prefix->captured = std::make_shared<PrefixSnapshot>(
                 capturePrefix(prefix->captureAt, system, state,
                               next_ckpt, stats, slicer.get(), acr.get(),
-                              *manager));
+                              manager));
         }
 
         if (injector) {
@@ -273,15 +261,14 @@ BerRuntime::run(const isa::Program &program,
             continue;
         }
 
-        if (manager && system.progress() >= next_ckpt &&
-            !system.allHalted()) {
+        if (system.progress() >= next_ckpt && !system.allHalted()) {
             bool defer = false;
             if (config.placement == PlacementPolicy::kRecomputeAware &&
                 acr && profile.dynamicStores > 0) {
                 // Defer while the open interval is recomputation-poor
                 // relative to the program's profiled slice coverage,
                 // up to the slack bound (Sec. V-D1's observation).
-                const auto &log = manager->openLog();
+                const auto &log = manager.openLog();
                 double coverage =
                     static_cast<double>(profile.sliceableStores) /
                     static_cast<double>(profile.dynamicStores);
@@ -290,20 +277,21 @@ BerRuntime::run(const isa::Program &program,
                         ? 1.0
                         : static_cast<double>(log.amnesicRecords()) /
                               static_cast<double>(log.totalRecords());
+                // Max deferral, as a fraction of the period.
+                constexpr double kPlacementSlack = 0.3;
                 std::uint64_t limit =
                     next_ckpt + static_cast<std::uint64_t>(
-                                    config.placementSlack *
+                                    kPlacementSlack *
                                     static_cast<double>(period));
                 defer = ratio < coverage && system.progress() < limit;
                 if (defer)
                     stats.add("ckpt.placementDeferrals");
             }
             if (!defer) {
-                manager->establish();
-                if (oracle)
-                    oracle->onEstablish(
-                        *manager,
-                        injector ? injector->latentCount() : 0);
+                manager.establish();
+                if (config.oracle)
+                    oracle.onEstablish(
+                        manager, injector ? injector->latentCount() : 0);
                 next_ckpt += period;
             }
         }
@@ -327,32 +315,12 @@ BerRuntime::run(const isa::Program &program,
     }
 
     // --- Verification: recovery must be transparent ---
-    // An unrecoverable run never reached its final state — there is
-    // nothing to verify against the reference; the structured outcome
-    // (exit 5 upstream) is the verdict.
-    if (!result.unrecoverable) {
-        if (oracle) {
-            // With the oracle on, a diverged final image is one more
-            // structured finding, not a process abort.
-            oracle->onFinalImage(profile.finalImage);
-        } else {
-            auto image = system.memory().image();
-            if (image != profile.finalImage) {
-                Addr bad = kInvalidAddr;
-                for (const auto &[addr, value] : profile.finalImage) {
-                    auto it = image.find(addr);
-                    if (it == image.end() || it->second != value) {
-                        bad = addr;
-                        break;
-                    }
-                }
-                panic("%s: final state diverged from the error-free "
-                      "reference (first bad addr %llu)",
-                      config.label().c_str(),
-                      static_cast<unsigned long long>(bad));
-            }
-        }
-    }
+    // A diverged final image is a structured finding (exit 4
+    // upstream). An unrecoverable run never reached its final state —
+    // there is nothing to verify; the structured outcome (exit 5
+    // upstream) is the verdict.
+    if (!result.unrecoverable)
+        oracle.onFinalImage(profile.finalImage);
 
     // --- Results ---
     system.exportStats(stats);
@@ -364,21 +332,17 @@ BerRuntime::run(const isa::Program &program,
     result.energyPj = energy_model.annotate(stats);
     result.cycles = system.maxCycle();
     result.edp = energy::EnergyModel::edp(result.energyPj, result.cycles);
-    if (manager) {
-        result.checkpointsEstablished = manager->checkpointsEstablished();
-        result.history = manager->history();
-        for (const auto &interval : result.history) {
-            result.ckptBytesStored += interval.storedBytes();
-            result.ckptBytesOmitted += interval.omittedBytes;
-        }
+    result.checkpointsEstablished = manager.checkpointsEstablished();
+    result.history = manager.history();
+    for (const auto &interval : result.history) {
+        result.ckptBytesStored += interval.storedBytes();
+        result.ckptBytesOmitted += interval.omittedBytes;
     }
     result.recoveries =
         static_cast<std::uint64_t>(stats.get("rec.recoveries"));
-    if (oracle) {
-        result.oracleDivergences =
-            static_cast<std::uint64_t>(stats.get("oracle.divergences"));
-        result.oracleReport = oracle->report();
-    }
+    result.oracleDivergences =
+        static_cast<std::uint64_t>(stats.get("oracle.divergences"));
+    result.oracleReport = oracle.report();
     return result;
 }
 

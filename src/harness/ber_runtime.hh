@@ -1,10 +1,12 @@
 /**
  * @file
  * BerRuntime: executes one experiment — wires the multicore system, the
- * checkpoint substrate, the ACR engine, and the error injector together,
- * drives the progress-based checkpoint schedule, reacts to detections
- * with recovery, and verifies that the final memory state matches the
- * error-free reference (recovery transparency).
+ * checkpoint substrate, the ACR engine, the error injector, and the
+ * recovery oracle together, drives the progress-based checkpoint
+ * schedule, reacts to detections with recovery, and has the oracle
+ * verify that the final memory state matches the error-free reference
+ * (recovery transparency). Every verdict lands in the result — none
+ * aborts the process.
  */
 
 #ifndef ACR_HARNESS_BER_RUNTIME_HH
@@ -23,7 +25,8 @@ class BerRuntime
 {
   public:
     /**
-     * Run @p config against @p program.
+     * Run @p config against @p program. @p config must be valid
+     * (ExperimentConfig::validate() empty; Runner::run checks it).
      *
      * @param program  the kernel; must carry slice hints (from
      *                 SlicePass) when config.mode == kReCkpt

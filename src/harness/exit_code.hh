@@ -3,9 +3,9 @@
  * Process exit-code vocabulary of the sweep front-ends, and the one
  * place their precedence lives. A bench process can end up with
  * several independent verdicts — the supervisor quarantined points,
- * a bench-specific check (the torture oracle) found divergences — and
- * the shell sees a single byte, so the verdicts must be combined by
- * severity, not by whoever returns last:
+ * the recovery oracle found divergences, a point lost its machine —
+ * and the shell sees a single byte, so benchMain combines the
+ * verdicts by severity, not by whoever returns last:
  *
  *     kExitClean (0)  <  kExitQuarantine (3)  <  kExitDivergence (4)
  *                     <  kExitUnrecoverable (5)
@@ -13,9 +13,9 @@
  * Quarantine means "some points have no measurement" (partial output);
  * divergence means "a measurement itself is wrong" (the recovery
  * oracle caught the engine misbehaving); unrecoverable means "the
- * modeled machine itself was lost" (storage faults defeated every
- * escalation rung, DESIGN.md §16) — the strongest statement a
- * campaign can make, so it dominates everything.
+ * modeled machine itself was lost" (no rollback target could be
+ * restored, DESIGN.md §16) — the strongest statement a campaign can
+ * make, so it dominates everything.
  * Codes 1/2 are not combinable verdicts: 1 is fatal()'s path (bad
  * flags, broken wire records) and exits immediately, 2 is reserved
  * for the platform. combineExitCodes() rejects them loudly rather
@@ -37,11 +37,12 @@ enum ExitCode : int
     /** >= 1 grid point failed every retry; rendered output is partial. */
     kExitQuarantine = 3,
     /** >= 1 recovery-oracle divergence: the engine produced a wrong
-     *  measurement (torture / fault campaigns). */
+     *  measurement. */
     kExitDivergence = 4,
-    /** >= 1 point ended unrecoverable: storage faults defeated every
-     *  escalation rung and the run surfaced a structured loss-of-
-     *  machine outcome (storage-fault campaigns). */
+    /** >= 1 point ended unrecoverable: no rollback target could be
+     *  restored (storage faults defeated every escalation rung, or no
+     *  retained checkpoint was safe) and the run surfaced a structured
+     *  loss-of-machine outcome. */
     kExitUnrecoverable = 5,
 };
 

@@ -57,10 +57,6 @@ ExperimentConfig::validate() const
                         "default backend would silently measure "
                         "nothing)",
                         ckpt::backendName(backend));
-    if (placementSlack < 0.0 || placementSlack > 1.0)
-        return csprintf("placementSlack must be in [0, 1] (a fraction "
-                        "of the checkpoint period), got %g",
-                        placementSlack);
     if (oracle && mode == BerMode::kNoCkpt)
         return "oracle == true requires a checkpointing mode (there is "
                "no recovery to validate under NoCkpt)";

@@ -79,19 +79,19 @@ struct ExperimentConfig
      *  (must stay <= 1 per Sec. II-A). */
     double detectionLatencyFraction = 0.25;
 
-    /** Checkpoint placement (kRecomputeAware needs mode == kReCkpt). */
+    /** Checkpoint placement (kRecomputeAware needs mode == kReCkpt;
+     *  it defers by at most 0.3 of a period). */
     PlacementPolicy placement = PlacementPolicy::kUniform;
-
-    /** Max deferral under kRecomputeAware, as a fraction of the period. */
-    double placementSlack = 0.3;
 
     /** Seed for error masks. */
     std::uint64_t seed = 0xacce55ULL;
 
     /**
-     * Attach the RecoveryOracle: differentially validate every
-     * recovery and report structured divergences in the result instead
-     * of aborting. Requires a checkpointing mode.
+     * Arm the RecoveryOracle's shadow hooks: differentially validate
+     * every establishment and recovery against snapshots and a golden
+     * replay. The oracle itself is attached to every checkpointing run
+     * (recomputation mismatches and the final image are always
+     * checked). Requires a checkpointing mode.
      */
     bool oracle = false;
 
@@ -140,7 +140,10 @@ struct ExperimentResult
     std::uint64_t checkpointsEstablished = 0;
     std::uint64_t recoveries = 0;
 
-    /** Oracle findings (0 when the oracle is off or the run is clean). */
+    /** Recovery-oracle findings (0 when the run is clean). Every
+     *  checkpointing run counts recomputation mismatches and a diverged
+     *  final image; config.oracle adds the shadow checks. Nonzero
+     *  makes a sweep exit 4. */
     std::uint64_t oracleDivergences = 0;
     /** Structured divergence report ("" when clean). */
     std::string oracleReport;
@@ -169,15 +172,17 @@ struct ExperimentResult
     std::string failReason;
 
     /**
-     * Storage faults defeated every escalation rung (DESIGN.md §16):
-     * the modeled machine could not be restored to any checkpoint and
-     * the run stopped at the failed recovery. Unlike `failed` this IS
-     * a measurement — a deterministic, cacheable statement about the
+     * No rollback target could be restored (DESIGN.md §16): storage
+     * faults defeated every escalation rung, or no retained checkpoint
+     * was a safe target for the affected cores. The run stopped at the
+     * failed recovery and a sweep exits 5. Unlike `failed` this IS a
+     * measurement — a deterministic, cacheable statement about the
      * configuration — so cycles/stats hold the partial run up to the
      * loss and only the derived overhead metrics NaN-poison.
      */
     bool unrecoverable = false;
-    /** Which stored datum was unserveable (when unrecoverable). */
+    /** Why (when unrecoverable): the unserveable datum, or each
+     *  retained checkpoint's refusal. */
     std::string unrecoverableDetail;
 
     /** The quarantine placeholder for a point that failed every

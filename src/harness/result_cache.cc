@@ -84,26 +84,26 @@ ResultCache::open(const std::string &path)
     std::lock_guard<std::mutex> lock(mutex_);
     const std::vector<std::string> lines = log_.load(path);
 
-    // Validate the first header. Anything unrecognized — garbage, a
-    // future cache schema, records encoded under a different wire
-    // version — makes the whole file cold: every lookup misses, the
-    // sweep recomputes, and the file is re-headed for this build.
-    if (lines.empty()) {
-        log_.create(path, headerLine());
-        return;
-    }
-    if (const std::string problem = headerProblem(lines.front());
-        !problem.empty()) {
-        warn("cache '%s': %s; starting cold", path.c_str(),
-             problem.c_str());
-        log_.create(path, headerLine());
-        return;
-    }
-
-    // A later header starts a segment (the next concatenated file) and
-    // is validated like the first: one this build reads is skipped,
-    // and the entries after one it rejects are not served.
-    bool serving = true;
+    // The first line and every later header (the next concatenated
+    // file) start a segment, each validated alike: the entries after
+    // a header this build reads are served, and the entries after one
+    // it rejects — garbage, a future cache schema, records encoded
+    // under a different wire version — are not (one warning per
+    // segment). Warnings wait until the file is known to be kept.
+    bool serving = false;
+    bool servable = false;
+    std::vector<std::string> warnings;
+    auto start_segment = [&](std::size_t i) {
+        const std::string problem = headerProblem(lines[i]);
+        serving = problem.empty();
+        servable = servable || serving;
+        if (!serving)
+            warnings.push_back(csprintf(
+                "line %zu: %s; not serving the entries after it", i + 1,
+                problem.c_str()));
+    };
+    if (!lines.empty())
+        start_segment(0);
     for (std::size_t i = 1; i < lines.size(); ++i) {
         // One bad entry (flipped byte, schema drift, a check that no
         // longer matches) is a miss for that experiment, not a dead
@@ -111,12 +111,7 @@ ResultCache::open(const std::string &path)
         try {
             serde::Json json = serde::Json::parse(lines[i]);
             if (isHeader(json)) {
-                const std::string problem = headerProblem(lines[i]);
-                serving = problem.empty();
-                if (!serving)
-                    warn("cache '%s': line %zu: %s; not serving the "
-                         "entries after it",
-                         path.c_str(), i + 1, problem.c_str());
+                start_segment(i);
                 continue;
             }
             if (!serving)
@@ -136,10 +131,23 @@ ResultCache::open(const std::string &path)
             entries_[wire::encodePoint(point).dump()] = std::move(result);
         } catch (const serde::SerdeError &error) {
             if (serving)
-                warn("cache '%s': skipping unreadable entry %zu: %s",
-                     path.c_str(), i, error.what());
+                warnings.push_back(csprintf(
+                    "skipping unreadable entry %zu: %s", i, error.what()));
         }
     }
+
+    // No segment can be served (an empty file, a wire-version bump,
+    // garbage): the whole file is cold — every lookup misses, the
+    // sweep recomputes, and the file is re-headed for this build.
+    if (!servable) {
+        if (!lines.empty())
+            warn("cache '%s': %s; starting cold", path.c_str(),
+                 headerProblem(lines.front()).c_str());
+        log_.create(path, headerLine());
+        return;
+    }
+    for (const std::string &warning : warnings)
+        warn("cache '%s': %s", path.c_str(), warning.c_str());
     log_.resume(lines.size());
     // New entries must not land in a rejected segment, where the next
     // open would not serve them.

@@ -22,12 +22,13 @@
  * in the file is fatal — every corruption mode degrades to recompute,
  * never to a crash or a wrong table:
  *
- *   - unknown/garbled first header, stale cache version, or a wirev
- *     that does not match this build  → the whole file is cold
- *     (truncated and re-headed; every lookup misses);
- *   - a later header (concatenated files) starts a segment and is
- *     validated like the first: one this build reads is skipped, and
- *     the entries after one it rejects are not served (one warning);
+ *   - the first line and every later header (concatenated files)
+ *     start a segment, each validated alike: the entries after a
+ *     header this build reads are served, and the entries after one
+ *     it rejects (garbage, a stale cache version, a wirev that does
+ *     not match this build) are not (one warning per segment);
+ *   - no segment can be served  → the whole file is cold (truncated
+ *     and re-headed; every lookup misses);
  *   - a torn final line (no trailing newline)  → dropped and the file
  *     truncated to the durable prefix;
  *   - an unreadable entry line (flipped byte in its point or result,

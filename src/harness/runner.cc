@@ -47,8 +47,7 @@ prefixKey(const std::string &workload, const ExperimentConfig &config)
         << config.numCheckpoints << '|' << config.sliceThreshold << '|'
         << static_cast<int>(config.policy) << '|'
         << config.addrMapRetention << '|'
-        << static_cast<int>(config.placement) << '|'
-        << config.placementSlack;
+        << static_cast<int>(config.placement);
     return key.str();
 }
 

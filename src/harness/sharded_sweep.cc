@@ -224,7 +224,7 @@ RunnerPool::at(unsigned threads)
     std::lock_guard<std::mutex> lock(mutex_);
     auto &slot = runners_[threads];
     if (!slot)
-        slot = std::make_unique<Runner>(threads, scale_);
+        slot = std::make_unique<Runner>(threads);
     return *slot;
 }
 

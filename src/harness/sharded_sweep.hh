@@ -50,13 +50,10 @@ namespace acr::harness
 class RunnerPool
 {
   public:
-    explicit RunnerPool(unsigned scale = 1) : scale_(scale) {}
-
     Runner &at(unsigned threads);
 
   private:
     std::mutex mutex_;
-    unsigned scale_;
     std::map<unsigned, std::unique_ptr<Runner>> runners_;
 };
 

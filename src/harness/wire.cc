@@ -165,7 +165,6 @@ encodeConfig(const ExperimentConfig &config)
         .set("detectionLatencyFraction",
              config.detectionLatencyFraction)
         .set("placement", placementName(config.placement))
-        .set("placementSlack", config.placementSlack)
         .set("seed", config.seed)
         .set("oracle", config.oracle)
         .set("faultEventMask", config.faultEventMask)
@@ -196,7 +195,6 @@ decodeConfig(const Json &json)
         reader.requireDouble("detectionLatencyFraction");
     config.placement =
         placementFromName(reader.requireString("placement"));
-    config.placementSlack = reader.requireDouble("placementSlack");
     config.seed = reader.requireUint("seed");
     config.oracle = reader.requireBool("oracle");
     config.faultEventMask = reader.requireUint("faultEventMask");

@@ -56,8 +56,10 @@ namespace wire
  *  v8: config lost `verifyFinalState` (final-state verification is
  *      unconditional); the `manifest` and `failed` record types are
  *      gone (a `--shard` leg writes result-cache files, DESIGN.md
- *      §8.3). */
-inline constexpr std::uint64_t kVersion = 8;
+ *      §8.3).
+ *  v9: config lost `placementSlack` (kRecomputeAware's deferral bound
+ *      is a constant). */
+inline constexpr std::uint64_t kVersion = 9;
 
 // --- Value encodings (no version envelope; record lines add it) ---
 

@@ -146,11 +146,8 @@ Divergence::describe() const
 }
 
 RecoveryOracle::RecoveryOracle(sim::MulticoreSystem &system,
-                               const sim::MachineConfig &machine,
-                               ckpt::Coordination coordination,
                                StatSet &stats)
-    : system_(system), machine_(machine), program_(system.program()),
-      coordination_(coordination), stats_(stats)
+    : system_(system), stats_(stats)
 {
 }
 
@@ -242,8 +239,8 @@ RecoveryOracle::compareAgainstGolden(std::uint64_t target)
     // Progress rewinds on rollback; the golden replay only steps
     // forward, so a rewound target means replaying from scratch.
     if (!golden_ || golden_->progress() > target)
-        golden_ = std::make_unique<sim::MulticoreSystem>(machine_,
-                                                         program_);
+        golden_ = std::make_unique<sim::MulticoreSystem>(
+            system_.config(), system_.program());
 
     auto fail = [&](const std::string &why) {
         Divergence d;
@@ -368,26 +365,37 @@ RecoveryOracle::beforeRecovery(const ckpt::CheckpointManager &manager)
 
 void
 RecoveryOracle::afterRecovery(const ckpt::CheckpointManager &manager,
-                              const ckpt::RecoveryOutcome &outcome)
+                              const ckpt::RecoveryOutcome &outcome,
+                              Cycle error_time)
 {
     ++recoveriesChecked_;
     stats_.add("oracle.recoveriesChecked");
     const cache::SharerMask affected = outcome.affected;
 
     if (outcome.unrecoverable) {
-        // The ladder was exhausted: there is no restored state to
-        // validate, but the verdict itself must be consistent — a
-        // recovery may only be declared unrecoverable after the
-        // integrity layer actually detected damage (a corrupt stored
-        // read, or a torn establishment refused at target selection).
+        // There is no restored state to validate, but the verdict
+        // itself must be consistent: either the integrity layer
+        // detected damage (a corrupt stored read, or a torn
+        // establishment refused at target selection), or no retained
+        // checkpoint was a safe target — each was established after
+        // the error or is no longer valid for an affected core.
         stats_.add("oracle.unrecoverableChecked");
-        if (stats_.get("ckpt.corruptReads") == 0 &&
-            stats_.get("ckpt.tornRefusals") == 0) {
+        const bool damaged = stats_.get("ckpt.corruptReads") != 0 ||
+                             stats_.get("ckpt.tornRefusals") != 0;
+        const ckpt::Checkpoint *safe = nullptr;
+        for (const ckpt::Checkpoint &ckpt : manager.retained()) {
+            if (ckpt.establishedAt < error_time &&
+                (ckpt.validFor & affected) == affected)
+                safe = &ckpt;
+        }
+        if (!damaged && safe != nullptr) {
             Divergence d;
             d.kind = DivergenceKind::kEscalation;
             d.recovery = recoveriesChecked_;
+            d.ckptIndex = safe->index;
             d.detail = "unrecoverable outcome without any detected "
-                       "corrupt read or torn establishment";
+                       "corrupt read or torn establishment, although "
+                       "this checkpoint was a safe target";
             addDivergence(std::move(d));
         }
         captureValid_ = false;
@@ -634,13 +642,12 @@ RecoveryOracle::onFinalImage(const std::map<Addr, Word> &expected)
 
 void
 RecoveryOracle::onRecomputeMismatch(const ckpt::LogRecord &record,
-                                    Word replayed, std::uint64_t interval)
+                                    Word replayed, std::uint64_t interval,
+                                    std::uint64_t recovery)
 {
     Divergence d;
     d.kind = DivergenceKind::kRecompute;
-    // Called from inside recover(): the recovery being validated is
-    // the next one afterRecovery will count.
-    d.recovery = recoveriesChecked_ + 1;
+    d.recovery = recovery;
     d.interval = interval;
     d.addr = record.addr;
     d.expected = record.oldValue;

@@ -16,6 +16,12 @@
  * of aborting, so a torture campaign can surface every failure and
  * shrink the fault plan that caused it.
  *
+ * Every checkpointing run attaches an oracle (DESIGN.md §12.1): it is
+ * the manager's auditor (recomputation mismatches) and the run's one
+ * final-image check. ExperimentConfig::oracle arms the shadow hooks —
+ * establishment snapshots, the before/after-recovery checks, and the
+ * golden replay — which are what cost time.
+ *
  * Taint tracking makes the golden comparison sound under multi-error
  * campaigns: a checkpoint established while a corruption is latent (the
  * Fig. 2 hazard) is off the golden path, as is everything after a
@@ -55,9 +61,10 @@ enum class DivergenceKind
     kFinalImage,   ///< final memory image != error-free reference
     kEscalation,   ///< escalation-ladder outcome inconsistent with the
                    ///< medium's state (DESIGN.md §16): an unrecoverable
-                   ///< verdict without a detected corrupt read, a torn
-                   ///< checkpoint accepted as a target, or replica
-                   ///< switches on a single-copy backend
+                   ///< verdict with neither detected damage nor a
+                   ///< missing safe target, a torn checkpoint accepted
+                   ///< as a target, or replica switches on a
+                   ///< single-copy backend
 };
 
 const char *divergenceKindName(DivergenceKind kind);
@@ -87,14 +94,14 @@ struct Divergence
     std::string describe() const;
 };
 
-/** Differential recovery validator; install with
- *  CheckpointManager::setAuditor and call the hooks from the driver. */
+/** Differential recovery validator; pass it to the CheckpointManager
+ *  as its auditor and call the hooks from the driver. */
 class RecoveryOracle : public ckpt::RecoveryAuditor
 {
   public:
-    RecoveryOracle(sim::MulticoreSystem &system,
-                   const sim::MachineConfig &machine,
-                   ckpt::Coordination coordination, StatSet &stats);
+    /** @param system  the machine to validate; the golden replay
+     *                 re-runs its own config and program */
+    RecoveryOracle(sim::MulticoreSystem &system, StatSet &stats);
 
     /** Snapshot checkpoint 0 (call right after initialCheckpoint()). */
     void onInitialCheckpoint(const ckpt::CheckpointManager &manager);
@@ -112,16 +119,19 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
      *  consume, before the rollback compacts them. */
     void beforeRecovery(const ckpt::CheckpointManager &manager);
 
-    /** Validate the full machine + manager state after a recovery. */
+    /** Validate the full machine + manager state after a recovery
+     *  from an error that occurred at @p error_time. */
     void afterRecovery(const ckpt::CheckpointManager &manager,
-                       const ckpt::RecoveryOutcome &outcome);
+                       const ckpt::RecoveryOutcome &outcome,
+                       Cycle error_time);
 
     /** End-of-run check against the error-free final image. */
     void onFinalImage(const std::map<Addr, Word> &expected);
 
     /** RecoveryAuditor: amnesic replay disagreed with its shadow. */
     void onRecomputeMismatch(const ckpt::LogRecord &record, Word replayed,
-                             std::uint64_t interval) override;
+                             std::uint64_t interval,
+                             std::uint64_t recovery) override;
 
     const std::vector<Divergence> &divergences() const
     {
@@ -184,9 +194,6 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
     bool goldenMatchesSystem(std::string *why) const;
 
     sim::MulticoreSystem &system_;
-    sim::MachineConfig machine_;
-    isa::Program program_;
-    ckpt::Coordination coordination_;
     StatSet &stats_;
 
     std::unique_ptr<sim::MulticoreSystem> golden_;

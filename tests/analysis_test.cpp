@@ -75,6 +75,9 @@ TEST(Analysis, Eq4HoldsOnRealRuns)
 
         // Slack for DRAM queueing noise between the two runs.
         EXPECT_TRUE(eq4Holds(acr_run, baseline, 1.05)) << name;
+        EXPECT_EQ(baseline.oracleDivergences + acr_run.oracleDivergences,
+                  0u)
+            << name;
     }
 }
 

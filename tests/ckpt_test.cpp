@@ -3,7 +3,9 @@
  * Tests for the BER substrate: undo-log semantics (log bit, first-update
  * logging), checkpoint establishment and two-checkpoint retention,
  * rollback correctness (bit-exact memory restoration), the Fig. 2
- * suspect-checkpoint scenario, and group-local rollback.
+ * suspect-checkpoint scenario, group-local rollback, and the
+ * structured unrecoverable verdict when no retained checkpoint is a
+ * safe target.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +91,19 @@ sweepProgram(unsigned iters, unsigned cells)
     return b.build();
 }
 
+/** Records every recomputation mismatch a manager reports. */
+struct RecordingAuditor : RecoveryAuditor
+{
+    void
+    onRecomputeMismatch(const LogRecord &record, Word, std::uint64_t,
+                        std::uint64_t) override
+    {
+        mismatches.push_back(record.addr);
+    }
+
+    std::vector<Addr> mismatches;
+};
+
 struct Rig : cpu::ExecObserver
 {
     explicit Rig(Coordination mode, unsigned iters = 6,
@@ -96,10 +111,17 @@ struct Rig : cpu::ExecObserver
         : program(sweepProgram(iters, cells)),
           system(sim::MachineConfig::tableI(2), program),
           manager(CheckpointManager::Config{mode, backend}, system,
-                  nullptr, stats)
+                  nullptr, auditor, stats)
     {
         system.setObserver(this);
         manager.initialCheckpoint();
+    }
+
+    ~Rig() override
+    {
+        // The rig has no recompute provider: nothing is amnesic, so
+        // no rollback may ever report a recomputation mismatch.
+        EXPECT_TRUE(auditor.mismatches.empty());
     }
 
     void
@@ -118,6 +140,7 @@ struct Rig : cpu::ExecObserver
     }
 
     StatSet stats;
+    RecordingAuditor auditor;
     isa::Program program;
     sim::MulticoreSystem system;
     CheckpointManager manager;
@@ -293,6 +316,44 @@ TEST(Manager, LocalModeRollsBackOnlyTheFailingGroup)
                     it_a != image_after.end() &&
                     it_b->second == it_a->second);
     }
+}
+
+TEST(Manager, NoSafeTargetIsUnrecoverableNotAnAbort)
+{
+    // The local-coordination retention hole in miniature, on a
+    // reliable medium: a group rollback to ckpt 1 leaves ckpt 2
+    // invalid for core 0, the next establishment retires ckpt 1
+    // (retention is global), and an error that predates ckpt 3 then
+    // has no safe target. The verdict is structured and names each
+    // refusal.
+    Rig rig(Coordination::kLocal, 12);
+    rig.runUntilProgress(300);
+    rig.manager.establish();  // ckpt 1
+    rig.runUntilProgress(rig.system.progress() + 100);
+    const Cycle first_error = rig.system.maxCycle();
+    rig.runUntilProgress(rig.system.progress() + 100);
+    rig.manager.establish();  // ckpt 2: after the first error
+    Cycle now = rig.system.maxCycle();
+    auto outcome = rig.manager.recover(0, first_error, now);
+    ASSERT_FALSE(outcome.unrecoverable) << outcome.failureDetail;
+    ASSERT_EQ(outcome.targetIndex, 1u);
+    ASSERT_EQ(outcome.affected, 0b01u);
+
+    rig.runUntilProgress(rig.system.progress() + 200);
+    const Cycle second_error = rig.system.maxCycle();
+    rig.runUntilProgress(rig.system.progress() + 100);
+    rig.manager.establish();  // ckpt 3 retires ckpt 1
+    ASSERT_EQ(rig.manager.retained().front().index, 2u);
+
+    now = rig.system.maxCycle();
+    outcome = rig.manager.recover(0, second_error, now);
+    EXPECT_TRUE(outcome.unrecoverable);
+    EXPECT_EQ(outcome.failureDetail,
+              "no intact rollback target for the affected cores (mask "
+              "0x1): ckpt 2 not valid for these cores, ckpt 3 "
+              "established after the error");
+    EXPECT_DOUBLE_EQ(rig.stats.get("rec.unrecoverable"), 1.0);
+    EXPECT_DOUBLE_EQ(rig.stats.get("rec.recoveries"), 1.0);
 }
 
 TEST(Manager, LocalModeCheckpointsPerGroup)

@@ -9,13 +9,10 @@
 #
 # Repro format: `flags=<torture args>` and `expect=<verdict>` lines,
 # where verdict is clean (exit 0), quarantine (exit 3), divergence
-# (exit 4), or unrecoverable (exit 5, storage faults defeated every
-# escalation rung) per src/harness/exit_code.hh; an optional
-# `stderr_match=<substring>` pins the diagnostic. The extra verdict
-# `abort` pins a run that dies on an engine assertion (oracle-off
-# configurations keep the manager's hard recomputation assert): any
-# abnormal termination passes, a clean/quarantine/divergence exit
-# fails, and `stderr_match=` is required to pin *which* assert fired.
+# (exit 4), or unrecoverable (exit 5, no rollback target could be
+# restored) per src/harness/exit_code.hh; an optional
+# `stderr_match=<substring>` pins the diagnostic. No recovery check
+# aborts the process, so a repro whose process dies always fails.
 #
 # Invoke with
 #   cmake -DBENCH=<path to torture> -DCORPUS=<tests/corpus>
@@ -64,20 +61,10 @@ foreach(repro IN LISTS repros)
         set(expect_exit 4)
     elseif(expect STREQUAL "unrecoverable")
         set(expect_exit 5)
-    elseif(expect STREQUAL "abort")
-        # Engine assertion: the process dies abnormally (a signal, which
-        # execute_process reports as a message string, or a nonzero
-        # abort status — never one of the harness verdict exits).
-        set(expect_exit "")
-        if(stderr_match STREQUAL "")
-            message(FATAL_ERROR
-                    "${repro}: verdict 'abort' needs stderr_match= to "
-                    "pin which assertion fired")
-        endif()
     else()
         message(FATAL_ERROR
                 "${repro}: unknown verdict '${expect}' (want clean, "
-                "quarantine, divergence, unrecoverable, or abort)")
+                "quarantine, divergence, or unrecoverable)")
     endif()
 
     separate_arguments(args UNIX_COMMAND "${flags}")
@@ -86,17 +73,7 @@ foreach(repro IN LISTS repros)
         OUTPUT_FILE "${OUT}/${name}.txt"
         ERROR_FILE "${OUT}/${name}.stderr"
         RESULT_VARIABLE status)
-    if(expect STREQUAL "abort")
-        if(status EQUAL 0 OR status EQUAL 3 OR status EQUAL 4 OR
-           status EQUAL 5)
-            file(READ "${OUT}/${name}.stderr" stderr)
-            message(FATAL_ERROR
-                    "${name}: expected an engine abort, got a normal "
-                    "verdict exit ${status} — the assertion this entry "
-                    "pins no longer fires. Rerun by hand:\n"
-                    "  torture ${flags}\n${stderr}")
-        endif()
-    elseif(NOT status EQUAL ${expect_exit})
+    if(NOT status EQUAL ${expect_exit})
         file(READ "${OUT}/${name}.stderr" stderr)
         message(FATAL_ERROR
                 "${name}: expected verdict '${expect}' (exit "

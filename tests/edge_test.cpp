@@ -24,7 +24,8 @@ TEST(Edge, MaxDetectionLatencyRollsBackTwoIntervals)
 {
     // Detection latency == the full checkpoint period: most detections
     // see a suspect checkpoint established after the error and must
-    // skip it (Fig. 2). Transparency is still verified in-run.
+    // skip it (Fig. 2). Transparency is still verified in-run, by the
+    // runtime's oracle.
     harness::Runner runner(4);
     harness::ExperimentConfig config;
     config.mode = harness::BerMode::kReCkpt;
@@ -37,6 +38,8 @@ TEST(Edge, MaxDetectionLatencyRollsBackTwoIntervals)
                   static_cast<std::uint64_t>(
                       result.stats.get("fault.dropped")),
               3u);
+    EXPECT_FALSE(result.unrecoverable) << result.unrecoverableDetail;
+    EXPECT_EQ(result.oracleDivergences, 0u) << result.oracleReport;
 }
 
 TEST(Edge, ZeroDetectionLatencyAlwaysUsesNewestCheckpoint)
@@ -50,6 +53,7 @@ TEST(Edge, ZeroDetectionLatencyAlwaysUsesNewestCheckpoint)
     config.sliceThreshold = 0;
     auto result = runner.run("dc", config);
     EXPECT_EQ(result.recoveries, 2u);
+    EXPECT_EQ(result.oracleDivergences, 0u) << result.oracleReport;
 }
 
 TEST(Edge, SizeCapTruncatesVeryLongChainsIntoSuffixSlices)
@@ -104,7 +108,17 @@ TEST(Edge, TinyOperandBufferFallsBackToLogging)
     amnesic::AcrConfig acr_config;
     acr_config.operandBufferWords = 1;
     amnesic::AcrEngine acr(acr_config, slicer, stats);
-    ckpt::CheckpointManager manager({}, system, &acr, stats);
+    struct Auditor : ckpt::RecoveryAuditor
+    {
+        unsigned mismatches = 0;
+        void
+        onRecomputeMismatch(const ckpt::LogRecord &, Word, std::uint64_t,
+                            std::uint64_t) override
+        {
+            ++mismatches;
+        }
+    } auditor;
+    ckpt::CheckpointManager manager({}, system, &acr, auditor, stats);
     manager.initialCheckpoint();
 
     struct Observer : cpu::ExecObserver
@@ -130,6 +144,7 @@ TEST(Edge, TinyOperandBufferFallsBackToLogging)
     system.runToCompletion();
 
     EXPECT_EQ(manager.openLog().amnesicRecords(), 0u);
+    EXPECT_EQ(auditor.mismatches, 0u);
     acr.exportStats();  // flush the deferred hot counters
     EXPECT_GT(stats.get("acr.operandBufferRejections"), 0.0);
 }
@@ -222,6 +237,7 @@ TEST(Edge, RecomputeAwarePlacementStoresNoMore)
     // Deferral may only shift checkpoints into richer regions; stored
     // bytes must not grow materially.
     EXPECT_LE(a.ckptBytesStored, u.ckptBytesStored * 11 / 10);
+    EXPECT_EQ(u.oracleDivergences + a.oracleDivergences, 0u);
 }
 
 } // namespace

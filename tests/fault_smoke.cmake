@@ -12,6 +12,8 @@
 #     FAILED cell and the process exits 3 instead of aborting; a shard
 #     leg with a quarantined point exits 3 without storing it, so the
 #     render of the legs' concatenated caches retries it;
+#   * with -DTORTURE, an oracle divergence exits 4 identically under
+#     --jobs, --forks, a shard leg, and the render of the legs' caches;
 #   * a sweep killed mid-run restarts by rerunning it with the same
 #     --cache, without re-simulating completed points (run counts
 #     checked via the "cache: N hit(s)" stderr stat). Warm reruns and
@@ -129,9 +131,12 @@ expect_match("${OUT}/fmerged.err" "cache: [0-9]+ hit\\(s\\), 1 miss\\(es\\)"
 #     identically — same rendered bytes, same exit-4 verdict — whether
 #     the point runs on in-process threads (--jobs), forked wire-
 #     protocol workers (--forks), or split across shard legs whose
-#     cache files carry the divergence to a later render. The legs
-#     themselves exit 0: the verdict travels in the cached results
-#     (oracleDivergences/oracleReport) and is applied at render time.
+#     cache files carry the divergence to a later render. Every mode
+#     that runs points applies the one verdict exit: the leg that owns
+#     the diverging point (the campaign's only point, so --shard=0/2)
+#     exits 4, the other leg exits 0, and the verdict also travels in
+#     the cached results (oracleDivergences/oracleReport) to the
+#     render.
 if(DEFINED TORTURE)
     set(oracle_campaign --workloads=is --modes=reckpt --coords=global
         --lats=0.5 --errors=8 --checkpoints=5 --seeds=1 --oracle=on)
@@ -159,7 +164,7 @@ if(DEFINED TORTURE)
     expect_match("${OUT}/oracle_forks.err" "\\[oracle\\]"
                  "forked oracle diagnostic")
 
-    run_oracle("${OUT}/oracle_s0.txt" "${OUT}/oracle_s0.err" 0
+    run_oracle("${OUT}/oracle_s0.txt" "${OUT}/oracle_s0.err" 4
                --shard=0/2 --forks=2 "--cache=${OUT}/oracle_s0.cache")
     run_oracle("${OUT}/oracle_s1.txt" "${OUT}/oracle_s1.err" 0
                --shard=1/2 "--cache=${OUT}/oracle_s1.cache")

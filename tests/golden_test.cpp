@@ -31,8 +31,13 @@ std::vector<harness::ExperimentResult>
 runGrid(const std::vector<harness::ExperimentConfig> &configs)
 {
     harness::RunnerPool pool;
-    return harness::ShardedSweep(pool).run(
+    auto results = harness::ShardedSweep(pool).run(
         crossGrid(workloads::allWorkloadNames(), configs));
+    // The runtime's oracle checks every run's final image and reports
+    // a divergence in the result.
+    for (const auto &result : results)
+        EXPECT_EQ(result.oracleDivergences, 0u) << result.oracleReport;
+    return results;
 }
 
 struct GoldenRow

@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end integration tests over the full stack (workload → slicer →
- * checkpointing → error injection → recovery → verification). Every run
- * verifies its final state, so recovery transparency — the final
- * memory image equals the error-free reference — is asserted inside
- * the runtime itself; the tests add cross-configuration
+ * checkpointing → error injection → recovery → verification). The
+ * runtime's recovery oracle checks every run's final state and reports
+ * a divergence in the result, so run() below requires recovery
+ * transparency — the final memory image equals the error-free
+ * reference — of every run; the tests add cross-configuration
  * invariants from the paper on top.
  */
 
@@ -23,6 +24,19 @@ runner()
 {
     static Runner instance(4);
     return instance;
+}
+
+/** One point on the shared runner, required to recover transparently
+ *  (the oracle's verdict travels in the result). */
+ExperimentResult
+run(const std::string &name, const ExperimentConfig &cfg)
+{
+    ExperimentResult result = runner().run(name, cfg);
+    EXPECT_EQ(result.oracleDivergences, 0u)
+        << name << " " << cfg.label() << ":\n"
+        << result.oracleReport;
+    EXPECT_FALSE(result.unrecoverable) << result.unrecoverableDetail;
+    return result;
 }
 
 ExperimentConfig
@@ -48,10 +62,10 @@ TEST_P(EveryWorkload, FourCoreConfigurationsAreTransparentAndOrdered)
     const auto &base = runner().noCkpt(name);
     ASSERT_GT(base.cycles, 0u);
 
-    auto ckpt_ne = runner().run(name, config(BerMode::kCkpt));
-    auto reckpt_ne = runner().run(name, config(BerMode::kReCkpt));
-    auto ckpt_e = runner().run(name, config(BerMode::kCkpt, 1));
-    auto reckpt_e = runner().run(name, config(BerMode::kReCkpt, 1));
+    auto ckpt_ne = run(name, config(BerMode::kCkpt));
+    auto reckpt_ne = run(name, config(BerMode::kReCkpt));
+    auto ckpt_e = run(name, config(BerMode::kCkpt, 1));
+    auto reckpt_e = run(name, config(BerMode::kReCkpt, 1));
 
     // Checkpointing costs time and energy (Fig. 6/7: all bars > 0).
     EXPECT_GT(ckpt_ne.cycles, base.cycles);
@@ -93,7 +107,7 @@ TEST_P(EveryWorkload, FourCoreConfigurationsAreTransparentAndOrdered)
 TEST_P(EveryWorkload, AccountingIdentitiesHold)
 {
     const std::string name = GetParam();
-    auto result = runner().run(name, config(BerMode::kReCkpt, 1));
+    auto result = run(name, config(BerMode::kReCkpt, 1));
 
     // Per-interval bookkeeping sums to the run totals (Eq. 1 pieces).
     std::uint64_t records = 0, amnesic = 0, logged = 0, omitted = 0;
@@ -139,8 +153,8 @@ TEST(Integration, LocalCoordinationIsTransparentAndNoSlower)
     // slow them down (Fig. 13's y <= 1 for them).
     for (const char *name : {"dc", "is"}) {
         auto global =
-            runner().run(name, config(BerMode::kCkpt, 0));
-        auto local = runner().run(
+            run(name, config(BerMode::kCkpt, 0));
+        auto local = run(
             name,
             config(BerMode::kCkpt, 0, ckpt::Coordination::kLocal));
         EXPECT_LE(local.cycles, global.cycles) << name;
@@ -150,7 +164,7 @@ TEST(Integration, LocalCoordinationIsTransparentAndNoSlower)
 TEST(Integration, LocalRecoveryWithAcrIsTransparent)
 {
     for (const char *name : {"dc", "mg"}) {
-        auto result = runner().run(
+        auto result = run(
             name,
             config(BerMode::kReCkpt, 2, ckpt::Coordination::kLocal));
         EXPECT_EQ(result.recoveries, 2u) << name;
@@ -159,7 +173,7 @@ TEST(Integration, LocalRecoveryWithAcrIsTransparent)
 
 TEST(Integration, MultipleErrorsAllRecovered)
 {
-    auto result = runner().run("bt", config(BerMode::kReCkpt, 4));
+    auto result = run("bt", config(BerMode::kReCkpt, 4));
     EXPECT_EQ(result.recoveries, 4u);
     EXPECT_DOUBLE_EQ(result.stats.get("fault.detected"), 4.0);
     EXPECT_DOUBLE_EQ(result.stats.get("fault.dropped"), 0.0);
@@ -167,17 +181,17 @@ TEST(Integration, MultipleErrorsAllRecovered)
 
 TEST(Integration, MoreErrorsMeanMoreOverhead)
 {
-    auto one = runner().run("ft", config(BerMode::kCkpt, 1));
-    auto three = runner().run("ft", config(BerMode::kCkpt, 3));
+    auto one = run("ft", config(BerMode::kCkpt, 1));
+    auto three = run("ft", config(BerMode::kCkpt, 3));
     EXPECT_GT(three.cycles, one.cycles) << "Fig. 11's monotone trend";
 }
 
 TEST(Integration, MoreCheckpointsMeanMoreOverhead)
 {
-    auto sparse = runner().run("mg", config(BerMode::kCkpt));
+    auto sparse = run("mg", config(BerMode::kCkpt));
     auto cfg = config(BerMode::kCkpt);
     cfg.numCheckpoints = 60;
-    auto dense = runner().run("mg", cfg);
+    auto dense = run("mg", cfg);
     EXPECT_GT(dense.checkpointsEstablished,
               sparse.checkpointsEstablished);
     EXPECT_GT(dense.cycles, sparse.cycles) << "Fig. 12's monotone trend";
@@ -190,7 +204,7 @@ TEST(Integration, ThresholdSweepIsMonotoneInOmission)
     for (unsigned threshold : {10u, 30u, 50u}) {
         auto cfg = config(BerMode::kReCkpt);
         cfg.sliceThreshold = threshold;
-        auto result = runner().run("bt", cfg);
+        auto result = run("bt", cfg);
         EXPECT_GE(result.ckptBytesOmitted, prev)
             << "threshold " << threshold;
         prev = result.ckptBytesOmitted;
@@ -202,11 +216,11 @@ TEST(Integration, CostModelPolicyOmitsAtLeastAsMuchAsGreedy)
 {
     auto greedy_cfg = config(BerMode::kReCkpt);
     greedy_cfg.sliceThreshold = 10;
-    auto greedy = runner().run("lu", greedy_cfg);
+    auto greedy = run("lu", greedy_cfg);
 
     auto cost_cfg = greedy_cfg;
     cost_cfg.policy = slice::SelectionPolicy::kCostModel;
-    auto cost = runner().run("lu", cost_cfg);
+    auto cost = run("lu", cost_cfg);
     EXPECT_GE(cost.ckptBytesOmitted, greedy.ckptBytesOmitted);
 }
 
@@ -221,6 +235,7 @@ TEST(Integration, ScalabilityAcrossThreadCounts)
         auto reckpt = wide.run("is", config(BerMode::kReCkpt));
         EXPECT_GT(ckpt.timeOverheadPct(base.cycles), 0.0);
         EXPECT_LT(reckpt.cycles, ckpt.cycles);
+        EXPECT_EQ(ckpt.oracleDivergences + reckpt.oracleDivergences, 0u);
     }
 }
 
@@ -228,7 +243,7 @@ TEST(Integration, NoCkptIsCheapestEverywhere)
 {
     const auto &base = runner().noCkpt("sp");
     for (auto mode : {BerMode::kCkpt, BerMode::kReCkpt}) {
-        auto result = runner().run("sp", config(mode));
+        auto result = run("sp", config(mode));
         EXPECT_GT(result.cycles, base.cycles);
         EXPECT_GT(result.energyPj, base.energyPj);
         EXPECT_GT(result.edp, base.edp);

@@ -97,6 +97,8 @@ TEST(MiscStress, ThirtyTwoCoreRunWithErrorsAndLocalCoordination)
                       result.stats.get("fault.dropped")),
               2u);
     EXPECT_GT(result.ckptBytesOmitted, 0u);
+    EXPECT_FALSE(result.unrecoverable) << result.unrecoverableDetail;
+    EXPECT_EQ(result.oracleDivergences, 0u) << result.oracleReport;
 }
 
 TEST(MiscStress, ScaledProblemKeepsInvariants)
@@ -111,6 +113,7 @@ TEST(MiscStress, ScaledProblemKeepsInvariants)
     auto big = runner.run("dc", config);
     EXPECT_GT(big.ckptBytesStored + big.ckptBytesOmitted,
               small.ckptBytesStored + small.ckptBytesOmitted);
+    EXPECT_EQ(small.oracleDivergences + big.oracleDivergences, 0u);
 }
 
 TEST(MiscHarness, NoCkptModeIgnoresErrorKnobs)
@@ -151,6 +154,8 @@ TEST(MiscHarness, StrictAddrMapRetentionStillTransparent)
 
     EXPECT_LE(strict_run.ckptBytesOmitted, loose_run.ckptBytesOmitted)
         << "age expiry can only reduce omission opportunities";
+    EXPECT_EQ(strict_run.oracleDivergences, 0u) << strict_run.oracleReport;
+    EXPECT_EQ(loose_run.oracleDivergences, 0u) << loose_run.oracleReport;
 }
 
 } // namespace

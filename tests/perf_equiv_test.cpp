@@ -111,6 +111,12 @@ renderGrid(harness::Runner &runner,
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const auto &config = configs[c];
             const auto &r = results[w * configs.size() + c];
+            // The runtime's oracle checks every run's final image
+            // (prefix-resumed runs included) and reports a divergence
+            // in the result.
+            EXPECT_EQ(r.oracleDivergences, 0u)
+                << names[w] << "/" << config.label() << ":\n"
+                << r.oracleReport;
             out << "cell workload=" << names[w]
                 << " mode=" << modeName(config.mode) << " coord="
                 << (config.coordination == ckpt::Coordination::kGlobal

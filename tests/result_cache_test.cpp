@@ -449,6 +449,67 @@ TEST(ResultCacheTest, RejectedLaterHeaderIsNotServed)
         std::remove(file.c_str());
 }
 
+TEST(ResultCacheTest, RejectedFirstHeaderKeepsLaterSegments)
+{
+    const auto grid = tinyGrid();
+    const auto first = cachePath("firstrejected0");
+    const auto second = cachePath("firstrejected1");
+    const auto path = cachePath("firstrejected");
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
+
+    {
+        ResultCache leg;
+        leg.open(first);
+        leg.insert(grid[0], fakeResult(100));
+        leg.insert(grid[2], fakeResult(300));
+    }
+    {
+        ResultCache leg;
+        leg.open(second);
+        leg.insert(grid[1], fakeResult(200));
+    }
+    // The first file claims a wire version this build does not speak:
+    // its entries are not served, but the valid leg after it is, and
+    // no line of either is thrown away.
+    std::string foreign = readFile(first);
+    const std::string current =
+        "\"wirev\":" + std::to_string(wire::kVersion);
+    const auto at = foreign.find(current);
+    ASSERT_NE(at, std::string::npos);
+    foreign.replace(at, current.size(), "\"wirev\":999");
+    const std::string concatenated = foreign + readFile(second);
+    writeFile(path, concatenated);
+
+    {
+        testing::internal::CaptureStderr();
+        ResultCache merged;
+        merged.open(path);
+        const std::string warnings =
+            testing::internal::GetCapturedStderr();
+        EXPECT_NE(warnings.find("line 1:"), std::string::npos)
+            << warnings;
+        EXPECT_NE(warnings.find("not serving"), std::string::npos);
+        EXPECT_EQ(warnings.find("starting cold"), std::string::npos);
+        EXPECT_EQ(merged.size(), 1u);
+        EXPECT_EQ(merged.find(grid[0]), nullptr);
+        ASSERT_NE(merged.find(grid[1]), nullptr);
+        EXPECT_EQ(dump(*merged.find(grid[1])), dump(fakeResult(200)));
+        EXPECT_EQ(merged.find(grid[2]), nullptr);
+        // The last segment is served, so a fresh entry lands in it.
+        merged.insert(grid[0], fakeResult(100));
+    }
+    EXPECT_EQ(readFile(path).rfind(concatenated, 0), 0u)
+        << "the file must keep every line it had";
+    ResultCache reopened;
+    reopened.open(path);
+    EXPECT_EQ(reopened.size(), 2u);
+    EXPECT_NE(reopened.find(grid[0]), nullptr);
+    EXPECT_NE(reopened.find(grid[1]), nullptr);
+    for (const auto &file : {first, second, path})
+        std::remove(file.c_str());
+}
+
 TEST(ResultCacheTest, KeyPointMismatchIsSkipped)
 {
     const auto grid = tinyGrid();

@@ -124,6 +124,7 @@ TEST(RunnerStress, MixedExperimentsShareBaselinesExactlyOnce)
     for (unsigned t = 1; t < kThreads; t += 2) {
         EXPECT_GT(owned[t].cycles, baselines[0]->cycles)
             << "checkpointing must cost time (thread " << t << ")";
+        EXPECT_EQ(owned[t].oracleDivergences, 0u) << owned[t].oracleReport;
     }
 
     // The early-published baseline survived all later cache growth.

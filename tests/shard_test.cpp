@@ -57,8 +57,10 @@ std::vector<std::string>
 encodeAll(const std::vector<ExperimentResult> &results)
 {
     std::vector<std::string> lines;
-    for (const auto &result : results)
+    for (const auto &result : results) {
+        EXPECT_EQ(result.oracleDivergences, 0u) << result.oracleReport;
         lines.push_back(wire::encodeResult(result).dump());
+    }
     return lines;
 }
 

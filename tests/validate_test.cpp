@@ -5,9 +5,10 @@
  * divergences, and each deliberate-corruption fixture (flip a replayed
  * word, drop an undo record, corrupt the recovered image) produces a
  * structured report — with the right kind and diagnostic fields —
- * instead of an abort. The fixtures arm through the ACR_TEST_* hooks
- * the checkpoint manager reads at construction, so each test sets the
- * environment, runs, and clears it again.
+ * instead of an abort, with the shadow hooks on or off (the oracle
+ * audits recomputation on every run). The fixtures arm through the
+ * ACR_TEST_* hooks the checkpoint manager reads at construction, so
+ * each test sets the environment, runs, and clears it again.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +188,32 @@ TEST(RecoveryOracle, ReportsARecomputeMismatchWithItsSlice)
     EXPECT_EQ(result.oracleReport.find("final-image"),
               std::string::npos)
         << "healing from the shadow must keep the final image clean";
+}
+
+TEST(RecoveryOracle, OracleOffStillReportsARecomputeMismatch)
+{
+    // Without the shadow hooks the oracle is still the manager's
+    // auditor: the flipped replay is a structured finding instead of
+    // an abort, and it names the same recovery, address and slice as
+    // the run with the oracle on.
+    ScopedEnv hook("ACR_TEST_FLIP_REPLAY", "1");
+    Runner runner(8);
+    auto config = campaignConfig(ckpt::Coordination::kGlobal,
+                                 0xacce55ULL);
+    config.oracle = false;
+    const auto off = runner.run("is", config);
+    ASSERT_GE(off.oracleDivergences, 1u);
+    ASSERT_EQ(off.oracleReport.rfind("[oracle] recompute recovery=1 ", 0),
+              0u)
+        << off.oracleReport;
+    EXPECT_FALSE(off.stats.has("oracle.recoveriesChecked"));
+
+    config.oracle = true;
+    const auto on = runner.run("is", config);
+    const auto first_line = [](const std::string &report) {
+        return report.substr(0, report.find('\n'));
+    };
+    EXPECT_EQ(first_line(off.oracleReport), first_line(on.oracleReport));
 }
 
 TEST(RecoveryOracle, OffByDefaultAndSilentWhenOff)

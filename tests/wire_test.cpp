@@ -40,7 +40,6 @@ randomConfig(std::mt19937_64 &rng)
     config.addrMapRetention = static_cast<unsigned>(pick(3));
     config.detectionLatencyFraction = pick(101) / 100.0;
     config.placement = static_cast<PlacementPolicy>(pick(2));
-    config.placementSlack = pick(101) / 100.0;
     config.seed = rng();
     config.oracle = config.mode != BerMode::kNoCkpt && pick(2) == 0;
     config.faultEventMask = pick(2) == 0 ? ~std::uint64_t{0} : rng() | 1;
@@ -109,7 +108,6 @@ expectConfigEqual(const ExperimentConfig &a, const ExperimentConfig &b)
     EXPECT_EQ(a.addrMapRetention, b.addrMapRetention);
     EXPECT_EQ(a.detectionLatencyFraction, b.detectionLatencyFraction);
     EXPECT_EQ(a.placement, b.placement);
-    EXPECT_EQ(a.placementSlack, b.placementSlack);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.oracle, b.oracle);
     EXPECT_EQ(a.faultEventMask, b.faultEventMask);
@@ -342,10 +340,6 @@ TEST(ConfigValidate, NamesTheOffendingField)
     config.mode = BerMode::kNoCkpt;
     config.numErrors = 1;
     expectNames(config, "numErrors");
-
-    config = {};
-    config.placementSlack = 1.01;
-    expectNames(config, "placementSlack");
 
     config = {};
     config.mode = BerMode::kNoCkpt;
