@@ -1,5 +1,6 @@
 #include "harness/ber_runtime.hh"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -141,6 +142,9 @@ BerRuntime::run(const isa::Program &program,
     const Cycle period_cycles =
         profile.cycles / (config.numCheckpoints + 1);
     std::unique_ptr<fault::ErrorInjector> injector;
+    // The injector is a no-op below its earliest trigger, so up to it
+    // this run is instruction-identical to an error-free one.
+    std::uint64_t first_trigger = ~std::uint64_t{0};
     if (config.numErrors > 0) {
         Cycle latency = static_cast<Cycle>(
             config.detectionLatencyFraction *
@@ -149,6 +153,8 @@ BerRuntime::run(const isa::Program &program,
                                               profile.totalProgress,
                                               latency, config.seed)
                         .masked(config.faultEventMask);
+        for (const fault::FaultPlan::Event &event : plan.events)
+            first_trigger = std::min(first_trigger, event.progressTrigger);
         injector = std::make_unique<fault::ErrorInjector>(plan, stats);
     }
 
@@ -196,24 +202,34 @@ BerRuntime::run(const isa::Program &program,
 
     std::uint64_t next_ckpt = period;
 
-    // --- Prefix sharing (DESIGN.md §13) ---
-    // Resume: overwrite the freshly built components with the donor
-    // snapshot and substitute its saved step result for the first
-    // iteration's stepWith(). The Runner guarantees eligibility (no
-    // oracle, stateless backend, trigger >= snapshot).
+    // --- Prefix sharing (DESIGN.md §13.6) ---
+    // The snapshot covers every component above except those keeping
+    // shadow state of their own from cycle 0: the oracle's shadow
+    // hooks, the storage-fault integrity layer (per-checkpoint
+    // checksums and armed corruptions) and a non-log store. A run
+    // without them resumes from the offered snapshot when the snapshot
+    // stops at or below its first trigger, and otherwise captures one
+    // there. Resuming overwrites the freshly built components and
+    // substitutes the snapshot's saved step result for the first
+    // iteration's stepWith().
+    std::uint64_t capture_at = 0;  // 0: no capture pending
     bool resume_pending = false;
-    if (prefix && prefix->resume) {
-        ACR_ASSERT(!config.oracle,
-                   "prefix resume with an ineligible configuration");
-        resumePrefix(*prefix->resume, system, next_ckpt, stats,
-                     slicer.get(), acr.get(), manager);
-        resume_pending = true;
+    if (prefix && !config.oracle && !storage_faults &&
+        config.backend == ckpt::Backend::kLog) {
+        if (prefix->offer && prefix->offer->stopProgress <= first_trigger) {
+            resumePrefix(*prefix->offer, system, next_ckpt, stats,
+                         slicer.get(), acr.get(), manager);
+            prefix->resumed = true;
+            resume_pending = true;
+        } else if (first_trigger != ~std::uint64_t{0}) {
+            capture_at = first_trigger;
+        }
     }
 
     while (true) {
         sim::SystemState state;
         if (resume_pending) {
-            state = prefix->resume->stepState;
+            state = prefix->offer->stepState;
             resume_pending = false;
         } else {
             state = system.stepWith(&observer);
@@ -222,13 +238,12 @@ BerRuntime::run(const isa::Program &program,
         // Capture: the first step at or past the threshold, *before*
         // this iteration's injector poll — every pre-capture poll
         // happened strictly below the threshold, so any run whose
-        // first trigger is >= captureAt reaches this exact state.
-        if (prefix && prefix->captureAt != 0 && !prefix->captured &&
-            system.progress() >= prefix->captureAt) {
-            prefix->captured = std::make_shared<PrefixSnapshot>(
-                capturePrefix(prefix->captureAt, system, state,
-                              next_ckpt, stats, slicer.get(), acr.get(),
-                              manager));
+        // first trigger is >= capture_at reaches this exact state.
+        if (capture_at != 0 && system.progress() >= capture_at) {
+            prefix->captured = std::make_shared<const PrefixSnapshot>(
+                capturePrefix(capture_at, system, state, next_ckpt,
+                              stats, slicer.get(), acr.get(), manager));
+            capture_at = 0;
         }
 
         if (injector) {

@@ -33,9 +33,10 @@ class BerRuntime
      * @param profile  NoCkpt profile of the same program (progress and
      *                 cycle totals drive the checkpoint/error schedules;
      *                 the final image is the verification reference)
-     * @param prefix   optional prefix-sharing handle (DESIGN.md §13):
-     *                 resume from a snapshot and/or capture one. The
-     *                 caller (Runner) owns all eligibility guards.
+     * @param prefix   optional prefix-sharing handle (DESIGN.md
+     *                 §13.6): the run resumes from the offered snapshot
+     *                 or captures one at its first fault trigger; this
+     *                 function alone decides which (null: neither)
      */
     static ExperimentResult run(const isa::Program &program,
                                 const sim::MachineConfig &machine,

@@ -1,13 +1,16 @@
 /**
  * @file
- * Error-free prefix sharing (DESIGN.md §13): within one sweep cell the
+ * Error-free prefix sharing (DESIGN.md §13.6): within one sweep cell the
  * +error and −error runs of a configuration execute identically up to
  * the first armed fault event. PrefixSnapshot captures the entire
  * mutable state of a BerRuntime run at a progress threshold — machine
  * (cores/memory/caches), slicer DAG, ACR engine, and checkpoint
  * retention — so a sibling run whose first fault trigger lies at or
  * beyond that threshold can fork from the snapshot instead of
- * re-simulating the shared prefix.
+ * re-simulating the shared prefix. The Runner holds one snapshot, its
+ * latest capture, and offers it to every run of the same prefix key;
+ * BerRuntime::run, which builds the fault plan, decides whether the run
+ * resumes from it.
  *
  * The capture point sits immediately after the scheduling step whose
  * progress first reaches the threshold, *before* that iteration's
@@ -131,18 +134,19 @@ void resumePrefix(const PrefixSnapshot &snap, sim::MulticoreSystem &system,
                   ckpt::CheckpointManager &manager);
 
 /**
- * In/out handle BerRuntime::run uses to participate in sharing.
- * At most one of resume / captureAt is active per run: a run either
- * forks from an existing snapshot or may produce one, never both.
+ * In/out handle BerRuntime::run uses to take part in sharing. The
+ * caller offers the one snapshot it holds for the run's prefix key;
+ * BerRuntime, which builds the fault plan, alone decides whether the
+ * run resumes from it, captures its own, or does neither — never both.
  */
 struct PrefixHandle
 {
-    /** Snapshot to fork from, or null to run from the start. */
-    const PrefixSnapshot *resume = nullptr;
-    /** Progress threshold to capture at (0 = never capture). */
-    std::uint64_t captureAt = 0;
-    /** Filled by BerRuntime when a capture happened. */
-    std::shared_ptr<PrefixSnapshot> captured;
+    /** Snapshot offered to fork from (null: none held for this key). */
+    std::shared_ptr<const PrefixSnapshot> offer;
+    /** Set by BerRuntime when the run resumed from the offer. */
+    bool resumed = false;
+    /** Filled by BerRuntime when the run captured a snapshot. */
+    std::shared_ptr<const PrefixSnapshot> captured;
 };
 
 } // namespace acr::harness

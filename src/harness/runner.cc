@@ -1,10 +1,9 @@
 #include "harness/runner.hh"
 
-#include <sstream>
 #include <string>
 
 #include "common/logging.hh"
-#include "fault/injector.hh"
+#include "harness/wire.hh"
 
 namespace acr::harness
 {
@@ -12,43 +11,22 @@ namespace acr::harness
 namespace
 {
 
-/** Progress of the earliest armed fault event of @p config, or
- *  UINT64_MAX when the run is effectively error-free. Mirrors the
- *  plan construction in BerRuntime::run exactly. */
-std::uint64_t
-firstTrigger(const ExperimentConfig &config,
-             const amnesic::SlicePassResult &pass)
-{
-    if (config.numErrors == 0)
-        return ~std::uint64_t{0};
-    const Cycle period_cycles =
-        pass.cycles / (config.numCheckpoints + 1);
-    const Cycle latency = static_cast<Cycle>(
-        config.detectionLatencyFraction *
-        static_cast<double>(period_cycles));
-    auto plan = fault::FaultPlan::uniform(config.numErrors,
-                                          pass.totalProgress, latency,
-                                          config.seed)
-                    .masked(config.faultEventMask);
-    std::uint64_t first = ~std::uint64_t{0};
-    for (const fault::FaultPlan::Event &event : plan.events)
-        first = std::min(first, event.progressTrigger);
-    return first;
-}
-
-/** Everything that shapes execution before the first fault trigger. */
+/**
+ * The prefix key: the workload and the config's wire encoding with the
+ * fields that act only after the first fault trigger — numErrors,
+ * detectionLatencyFraction, seed and faultEventMask — reset to their
+ * defaults, so runs differing only in them share a prefix. Every other
+ * field shapes the key, including any the encoding gains later.
+ */
 std::string
-prefixKey(const std::string &workload, const ExperimentConfig &config)
+prefixKey(const std::string &workload, ExperimentConfig config)
 {
-    std::ostringstream key;
-    key << workload << '|' << static_cast<int>(config.mode) << '|'
-        << static_cast<int>(config.coordination) << '|'
-        << static_cast<int>(config.backend) << '|'
-        << config.numCheckpoints << '|' << config.sliceThreshold << '|'
-        << static_cast<int>(config.policy) << '|'
-        << config.addrMapRetention << '|'
-        << static_cast<int>(config.placement);
-    return key.str();
+    const ExperimentConfig defaults;
+    config.numErrors = defaults.numErrors;
+    config.detectionLatencyFraction = defaults.detectionLatencyFraction;
+    config.seed = defaults.seed;
+    config.faultEventMask = defaults.faultEventMask;
+    return workload + '|' + wire::encodeConfig(config).dump();
 }
 
 } // namespace
@@ -117,56 +95,27 @@ Runner::run(const std::string &workload, ExperimentConfig config)
                                       ? pass.program
                                       : baseProgram(workload);
 
-    // Prefix sharing is sound only when every component's pre-trigger
-    // behavior is covered by the snapshot: the oracle, stateful store
-    // backends, and the storage-fault integrity layer (per-checkpoint
-    // checksums and armed corruptions accrue from establishment #1)
-    // all keep shadow state of their own, so those configurations take
-    // the full re-simulation path.
-    const bool eligible = prefixShare_ &&
-                          config.mode != BerMode::kNoCkpt &&
-                          !config.oracle &&
-                          config.storageErrors == 0 &&
-                          config.backend == ckpt::Backend::kLog;
-    PrefixHandle handle;
-    PrefixHandle *prefix = nullptr;
-    std::shared_ptr<const PrefixSnapshot> resume_hold;
-    std::string key;
-    if (eligible) {
-        const std::uint64_t trigger = firstTrigger(config, pass);
-        key = prefixKey(workload, config);
-        {
-            std::lock_guard<std::mutex> lock(prefixMutex_);
-            const auto it = prefixCache_.find(key);
-            if (it != prefixCache_.end()) {
-                for (const auto &snap : it->second) {
-                    if (snap->stopProgress > trigger)
-                        continue;
-                    if (!resume_hold ||
-                        snap->stopProgress > resume_hold->stopProgress)
-                        resume_hold = snap;
-                }
-            }
-        }
-        if (resume_hold) {
-            handle.resume = resume_hold.get();
-        } else if (trigger != ~std::uint64_t{0} && trigger > 0) {
-            handle.captureAt = trigger;
-        }
-        prefix = &handle;
-    }
+    if (!prefixShare_)
+        return BerRuntime::run(program, machine_, config, pass);
 
-    ExperimentResult result =
-        BerRuntime::run(program, machine_, config, pass, prefix);
-
-    if (prefix) {
+    // Offer the held snapshot to a run of its key; BerRuntime decides
+    // whether the run resumes from it. A capture replaces it.
+    const std::string key = prefixKey(workload, config);
+    PrefixHandle prefix;
+    {
         std::lock_guard<std::mutex> lock(prefixMutex_);
-        if (handle.resume)
-            ++prefixResumes_;
-        if (handle.captured) {
-            prefixCache_[key].push_back(std::move(handle.captured));
-            ++prefixCaptures_;
-        }
+        if (prefixSlotKey_ == key)
+            prefix.offer = prefixSlot_;
+    }
+    ExperimentResult result =
+        BerRuntime::run(program, machine_, config, pass, &prefix);
+    std::lock_guard<std::mutex> lock(prefixMutex_);
+    if (prefix.resumed)
+        ++prefixResumes_;
+    if (prefix.captured) {
+        prefixSlotKey_ = key;
+        prefixSlot_ = std::move(prefix.captured);
+        ++prefixCaptures_;
     }
     return result;
 }

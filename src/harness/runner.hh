@@ -11,22 +11,21 @@
  * immutable afterwards, so the references returned by baseProgram(),
  * profileAt(), and noCkpt() stay valid and safe to read concurrently
  * for the Runner's lifetime. run() itself touches no Runner state
- * beyond those caches and the immutable machine/params members; every
- * mutable experiment object (system, StatSet, Rng, checkpoint
- * substrate) lives inside BerRuntime::run's frame, owned by the calling
- * thread. Given that, results are bit-identical no matter how calls are
- * interleaved.
+ * beyond those caches, the immutable machine/params members and the
+ * mutex-guarded prefix slot (a run resumed from it is instruction-
+ * identical to a full one); every mutable experiment object (system,
+ * StatSet, Rng, checkpoint substrate) lives inside BerRuntime::run's
+ * frame, owned by the calling thread. Given that, results are
+ * bit-identical no matter how calls are interleaved.
  */
 
 #ifndef ACR_HARNESS_RUNNER_HH
 #define ACR_HARNESS_RUNNER_HH
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "acr/slice_pass.hh"
 #include "common/once_cache.hh"
@@ -113,17 +112,14 @@ class Runner
     OnceCache<std::string, ExperimentResult> noCkpt_;
 
     // --- Error-free prefix sharing ---
-    // Snapshots are keyed by everything that shapes execution *before*
-    // the first fault trigger (workload, scheme, coordination, placement,
-    // ...); fault-plan parameters are deliberately absent — the injector
-    // is a no-op until its first trigger, so runs differing only in
-    // them share the same prefix. A consumer picks the deepest snapshot
-    // not past its own first trigger.
+    // One slot: the latest captured snapshot and its prefix key (the
+    // config's wire encoding without the fault-plan fields, which act
+    // only after the first trigger). It is offered to every run of that
+    // key, and the next capture replaces it.
     bool prefixShare_ = true;
     std::mutex prefixMutex_;
-    std::map<std::string,
-             std::vector<std::shared_ptr<const PrefixSnapshot>>>
-        prefixCache_;
+    std::string prefixSlotKey_;
+    std::shared_ptr<const PrefixSnapshot> prefixSlot_;
     std::uint64_t prefixCaptures_ = 0;
     std::uint64_t prefixResumes_ = 0;
 };

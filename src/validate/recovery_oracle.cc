@@ -164,14 +164,11 @@ RecoveryOracle::captureSnapshot(const ckpt::Checkpoint &ckpt) const
 {
     Snapshot snap;
     snap.index = ckpt.index;
-    snap.progressAt = ckpt.progressAt;
-    snap.establishedAt = ckpt.establishedAt;
     // Architectural state is captured from the cores themselves, not
     // from the manager's checkpoint — the comparison after a rollback
     // is then independent of what the manager stored.
     for (CoreId c = 0; c < system_.numCores(); ++c)
         snap.arch.push_back(system_.core(c).saveArch());
-    snap.image = system_.memory().image();
     for (const ckpt::LogRecord &record : ckpt.log.records()) {
         if (!record.isAmnesic())
             continue;
@@ -220,14 +217,14 @@ RecoveryOracle::goldenMatchesSystem(std::string *why) const
             return false;
         }
     }
-    Addr addr;
-    Word want, have;
-    if (!imagesEqual(golden_->memory().image(), system_.memory().image(),
-                     &addr, &want, &have)) {
-        *why = csprintf("memory addr %llu: golden %llu != actual %llu",
-                        static_cast<unsigned long long>(addr),
-                        static_cast<unsigned long long>(want),
-                        static_cast<unsigned long long>(have));
+    const Addr addr =
+        golden_->memory().firstDifference(system_.memory());
+    if (addr != kInvalidAddr) {
+        *why = csprintf(
+            "memory addr %llu: golden %llu != actual %llu",
+            static_cast<unsigned long long>(addr),
+            static_cast<unsigned long long>(golden_->memory().read(addr)),
+            static_cast<unsigned long long>(system_.memory().read(addr)));
         return false;
     }
     return true;

@@ -4,14 +4,14 @@
  * ReStore's discipline of checking recovered state against a fault-free
  * reference. The oracle shadows the CheckpointManager: at every
  * establishment it snapshots what a correct checkpoint must restore
- * (per-core ArchState, the memory image, the slice instances the log
+ * beyond its memory (per-core ArchState, the slice instances the log
  * pins) and — when the execution is known to be on the fault-free path —
  * compares the machine against a deterministic golden replay of the same
  * program. After every recovery it re-derives the full expected machine
- * state from the undo logs it captured *before* the rollback mutated
- * them and checks memory, architectural state, the log-bit index,
- * two-checkpoint retention, `validFor` masks, and slice-instance
- * pinning. Violations are reported as structured Divergence records
+ * state from the memory image and undo logs it captured *before* the
+ * rollback mutated them and checks memory, architectural state, the
+ * log-bit index, two-checkpoint retention, `validFor` masks, and
+ * slice-instance pinning. Violations are reported as structured Divergence records
  * (address, expected/actual word, originating record, slice id) instead
  * of aborting, so a torture campaign can surface every failure and
  * shrink the fault plan that caused it.
@@ -155,10 +155,7 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
     struct Snapshot
     {
         std::uint64_t index = 0;
-        std::uint64_t progressAt = 0;
-        Cycle establishedAt = 0;
         std::vector<cpu::ArchState> arch;
-        std::map<Addr, Word> image;
         std::vector<Pin> pins;
         /** Writers whose records group rollbacks legitimately removed
          *  from this checkpoint's log since establishment. */

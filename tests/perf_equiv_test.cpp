@@ -14,11 +14,13 @@
  *
  * The grid is rendered twice, once per path a checkpointing cell can
  * take (DESIGN.md §13.6): with prefix sharing off (full re-simulation,
- * the reference path), and with every `_E` point run before every
- * `_NE` point, so each error-free cell resumes from the snapshot its
- * with-errors sibling captured. Both renders must match the golden,
- * and each resumed result must also equal a full re-simulation's in
- * every stat and history interval.
+ * the reference path), and with each `_E` point run immediately before
+ * its `_NE` sibling on one thread, so each error-free cell resumes from
+ * the snapshot its with-errors sibling has just captured. Both renders
+ * must match the golden, and each resumed result must also equal a
+ * full re-simulation's in every stat and history interval. The
+ * PrefixSlot tests pin which run orders the Runner's one held snapshot
+ * serves.
  *
  * Regenerate (only for a CONSCIOUS model change, explained in the
  * commit) with:
@@ -169,6 +171,14 @@ expectMatchesGolden(const std::string &actual)
     FAIL() << "golden mismatch (line endings or trailing bytes)";
 }
 
+/** @p result's wire encoding: every measured field, stats and history
+ *  included. */
+std::string
+encoded(const harness::ExperimentResult &result)
+{
+    return harness::wire::encodeResult(result).dump();
+}
+
 TEST(PerfEquiv, TierOneGridMatchesSeedEngine)
 {
     // The reference path: every checkpointing cell re-simulates from
@@ -192,52 +202,56 @@ TEST(PerfEquiv, TierOneGridMatchesSeedEngine)
 
 TEST(PerfEquiv, PrefixResumedGridMatchesSeedEngine)
 {
-    // The fast path: run every point except the error-free
-    // checkpointing ones first, so each `_E` run captures its prefix
-    // snapshot; then every `_NE` point resumes from its sibling's.
-    harness::RunnerPool pool;
-    harness::Runner &runner = pool.at(kDefaultThreads);
+    // The fast path, in perfbench's fig06_grid order: on one thread,
+    // each `_E` point runs immediately before its `_NE` sibling, which
+    // resumes from the snapshot the `_E` run has just captured.
+    harness::Runner runner(kDefaultThreads);
     runner.setPrefixShare(true);
     const auto grid =
         crossGrid(workloads::allWorkloadNames(), gridConfigs());
-    std::vector<harness::GridPoint> first, second;
-    std::vector<std::size_t> first_at, second_at;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        const auto &config = grid[i].config;
-        const bool resumes =
-            config.mode != BerMode::kNoCkpt && config.numErrors == 0;
-        (resumes ? second : first).push_back(grid[i]);
-        (resumes ? second_at : first_at).push_back(i);
-    }
-
-    harness::ShardedSweep sweep(pool);
     std::vector<harness::ExperimentResult> results(grid.size());
-    const auto first_results = sweep.run(first);
-    for (std::size_t i = 0; i < first.size(); ++i)
-        results[first_at[i]] = first_results[i];
-    const auto second_results = sweep.run(second);
-    for (std::size_t i = 0; i < second.size(); ++i)
-        results[second_at[i]] = second_results[i];
+    std::vector<harness::GridPoint> resumed;
+    std::vector<harness::ExperimentResult> resumed_results;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const harness::GridPoint &point = grid[i];
+        if (point.config.mode == BerMode::kNoCkpt) {
+            results[i] = runner.run(point.workload, point.config);
+            continue;
+        }
+        // gridConfigs() lists each `_NE` point right before its `_E`
+        // sibling; run the pair the other way round.
+        ASSERT_LT(i + 1, grid.size());
+        const harness::GridPoint &sibling = grid[i + 1];
+        ASSERT_EQ(point.config.numErrors, 0u);
+        ASSERT_EQ(sibling.config.numErrors, 1u);
+        ASSERT_EQ(sibling.workload, point.workload);
+        ASSERT_EQ(sibling.config.mode, point.config.mode);
+        ASSERT_EQ(sibling.config.coordination, point.config.coordination);
+        results[i + 1] = runner.run(sibling.workload, sibling.config);
+        results[i] = runner.run(point.workload, point.config);
+        resumed.push_back(point);
+        resumed_results.push_back(results[i]);
+        ++i;
+    }
 
     // Every `_NE` cell (8 workloads × 2 modes × 2 coordinations) took
     // the resume path.
-    ASSERT_EQ(second.size(), 32u);
-    EXPECT_EQ(runner.prefixResumes(), second.size());
+    ASSERT_EQ(resumed.size(), 32u);
+    EXPECT_EQ(runner.prefixResumes(), resumed.size());
 
     // The golden renders only the headline fields; every stat and
     // history interval of a resumed run must also equal a full
     // re-simulation's.
     harness::RunnerPool reference_pool;
     reference_pool.at(kDefaultThreads).setPrefixShare(false);
-    const auto reference = harness::ShardedSweep(reference_pool).run(second);
-    for (std::size_t i = 0; i < second.size(); ++i) {
-        const std::string want =
-            harness::wire::encodeResult(reference[i]).dump();
-        const std::string got =
-            harness::wire::encodeResult(second_results[i]).dump();
+    const auto reference =
+        harness::ShardedSweep(reference_pool).run(resumed);
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+        const std::string want = encoded(reference[i]);
+        const std::string got = encoded(resumed_results[i]);
         if (got != want) {
-            ADD_FAILURE() << second[i].workload << "/"
-                          << second[i].config.label()
+            ADD_FAILURE() << resumed[i].workload << "/"
+                          << resumed[i].config.label()
                           << " diverged from full re-simulation:\n"
                              "  reference: "
                           << want << "\n  resumed:   " << got;
@@ -245,6 +259,88 @@ TEST(PerfEquiv, PrefixResumedGridMatchesSeedEngine)
         }
     }
     expectMatchesGolden(renderGrid(runner, results));
+}
+
+/** @p config run down the reference path (prefix sharing off). */
+std::string
+fullResimulation(const std::string &workload,
+                 const harness::ExperimentConfig &config)
+{
+    harness::Runner reference(kDefaultThreads);
+    reference.setPrefixShare(false);
+    return encoded(reference.run(workload, config));
+}
+
+TEST(PrefixSlot, HoldsOnlyTheLatestCapture)
+{
+    // A's capture is replaced by B's before A's error-free sibling
+    // runs, so that sibling re-simulates in full.
+    harness::Runner runner(kDefaultThreads);
+    const auto a_e = makeConfig(BerMode::kCkpt, 1);
+    const auto a_ne = makeConfig(BerMode::kCkpt, 0);
+    const auto b_e =
+        makeConfig(BerMode::kCkpt, 1, ckpt::Coordination::kLocal);
+    runner.run("is", a_e);
+    runner.run("is", b_e);
+    const auto unshared = runner.run("is", a_ne);
+    EXPECT_EQ(runner.prefixCaptures(), 2u);
+    EXPECT_EQ(runner.prefixResumes(), 0u);
+
+    // Run right after a fresh capture of A, the sibling resumes.
+    runner.run("is", a_e);
+    const auto resumed = runner.run("is", a_ne);
+    EXPECT_EQ(runner.prefixCaptures(), 3u);
+    EXPECT_EQ(runner.prefixResumes(), 1u);
+
+    const std::string want = fullResimulation("is", a_ne);
+    EXPECT_EQ(encoded(unshared), want);
+    EXPECT_EQ(encoded(resumed), want);
+}
+
+TEST(PrefixSlot, EarlierFirstTriggerRefusesTheOfferAndCaptures)
+{
+    // One error triggers at T/2, two errors first at T/3: the 2-error
+    // run is offered the T/2 snapshot, must refuse it (the injector
+    // acts before the snapshot's state), and captures at T/3 instead.
+    harness::Runner runner(kDefaultThreads);
+    const auto one = makeConfig(BerMode::kReCkpt, 1);
+    const auto two = makeConfig(BerMode::kReCkpt, 2);
+    runner.run("is", one);
+    const auto refused = runner.run("is", two);
+    EXPECT_EQ(runner.prefixCaptures(), 2u);
+    EXPECT_EQ(runner.prefixResumes(), 0u);
+    EXPECT_EQ(encoded(refused), fullResimulation("is", two));
+
+    // The T/3 capture replaced the T/2 one and serves the 1-error run,
+    // whose first trigger lies past it.
+    const auto resumed = runner.run("is", one);
+    EXPECT_EQ(runner.prefixCaptures(), 2u);
+    EXPECT_EQ(runner.prefixResumes(), 1u);
+    EXPECT_EQ(encoded(resumed), fullResimulation("is", one));
+}
+
+TEST(PrefixSlot, KeyIsTheConfigWithoutThePostTriggerFields)
+{
+    harness::Runner runner(kDefaultThreads);
+    auto capturer = makeConfig(BerMode::kReCkpt, 1);
+    runner.run("is", capturer);
+    ASSERT_EQ(runner.prefixCaptures(), 1u);
+
+    // AddrMap retention shapes execution from cycle 0: not offered.
+    auto retention = makeConfig(BerMode::kReCkpt, 0);
+    retention.addrMapRetention = 2;
+    runner.run("is", retention);
+    EXPECT_EQ(runner.prefixResumes(), 0u);
+
+    // The fault-plan fields act only after the first trigger: a run
+    // differing from the capturer in all four of them still resumes.
+    auto plan = makeConfig(BerMode::kReCkpt, 0);
+    plan.detectionLatencyFraction = 0.5;
+    plan.seed = capturer.seed + 1;
+    plan.faultEventMask = 1;
+    const auto resumed = runner.run("is", plan);
+    EXPECT_EQ(runner.prefixResumes(), 1u);
+    EXPECT_EQ(encoded(resumed), fullResimulation("is", plan));
 }
 
 } // namespace
