@@ -15,8 +15,10 @@ namespace
 class PassObserver final : public cpu::ExecObserver
 {
   public:
-    PassObserver(slice::SliceEngine &slicer, std::size_t program_size)
-        : slicer_(slicer), hintedPcs_(program_size, 0)
+    PassObserver(slice::SliceEngine &slicer, std::size_t program_size,
+                 std::uint64_t memory_digest)
+        : slicer_(slicer), hintedPcs_(program_size, 0),
+          memoryDigest_(memory_digest)
     {
     }
 
@@ -25,6 +27,9 @@ class PassObserver final : public cpu::ExecObserver
     {
         if (isa::isStore(event.inst->op)) {
             ++dynamicStores_;
+            memoryDigest_ +=
+                mem::MainMemory::wordDigest(event.addr, event.result) -
+                mem::MainMemory::wordDigest(event.addr, event.oldValue);
             const slice::BuiltSlice *built = slicer_.buildForStore(event);
             if (built) {
                 ++sliceableStores_;
@@ -44,6 +49,7 @@ class PassObserver final : public cpu::ExecObserver
     const slice::SliceRepository &repo() const { return repo_; }
     std::uint64_t dynamicStores() const { return dynamicStores_; }
     std::uint64_t sliceableStores() const { return sliceableStores_; }
+    std::uint64_t memoryDigest() const { return memoryDigest_; }
 
   private:
     slice::SliceEngine &slicer_;
@@ -52,6 +58,8 @@ class PassObserver final : public cpu::ExecObserver
     slice::SliceRepository repo_;
     std::uint64_t dynamicStores_ = 0;
     std::uint64_t sliceableStores_ = 0;
+    /** Running MainMemory::digest(), kept from the stores observed. */
+    std::uint64_t memoryDigest_;
 };
 
 } // namespace
@@ -63,10 +71,17 @@ SlicePass::run(const isa::Program &program,
 {
     sim::MulticoreSystem system(machine, program);
     slice::SliceEngine slicer(machine.numCores, policy);
-    PassObserver observer(slicer, program.size());
-    system.runToCompletionWith(&observer);
-
+    PassObserver observer(slicer, program.size(),
+                          system.memory().digest());
     SlicePassResult result;
+    auto record = [&] {
+        result.goldenTrack.push_back({system.progress(),
+                                      system.archDigest(),
+                                      observer.memoryDigest()});
+    };
+    record();
+    system.runToCompletionWith(&observer, record);
+
     result.program = program;
     for (auto &inst : result.program.code()) {
         if (isa::isStore(inst.op)) {

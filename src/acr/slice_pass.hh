@@ -8,17 +8,21 @@
  * measure the static code-size overhead of embedding (paper: < 2%).
  *
  * The profiling run is an error-free, checkpoint-free execution, so its
- * timing doubles as the NoCkpt baseline of the evaluation.
+ * timing doubles as the NoCkpt baseline of the evaluation, and its
+ * state digests at every step boundary are the recovery oracle's
+ * golden reference (DESIGN.md §12.1, §13.4).
  */
 
 #ifndef ACR_ACR_SLICE_PASS_HH
 #define ACR_ACR_SLICE_PASS_HH
 
 #include <map>
+#include <vector>
 
 #include "common/stats.hh"
 #include "isa/program.hh"
 #include "sim/machine_config.hh"
+#include "sim/system.hh"
 #include "slice/policy.hh"
 
 namespace acr::amnesic
@@ -45,8 +49,15 @@ struct SlicePassResult
     // --- NoCkpt profile of the same run ---
     std::uint64_t totalProgress = 0;  ///< retired instructions
     Cycle cycles = 0;                 ///< completion time
-    /** Final memory image (golden reference for recovery tests). */
+    /** Final memory image (names the first differing word when a
+     *  run's final memory digest diverges from goldenTrack's last). */
     std::map<Addr, Word> finalImage;
+    /**
+     * The run's golden track: its digests at the initial state and
+     * after every step, in order; the last entry is the halted
+     * machine. The recovery oracle walks it in place of a replay.
+     */
+    std::vector<sim::StepDigest> goldenTrack;
     /**
      * The system's exported counters at completion. Because the pass
      * observer never perturbs timing, these are exactly the stats an

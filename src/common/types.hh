@@ -76,6 +76,16 @@ inline constexpr Addr kInvalidAddr = ~Addr{0};
 /** Sentinel for "no core". */
 inline constexpr CoreId kInvalidCore = ~CoreId{0};
 
+/** splitmix64's finalizer: a bijective 64-bit mixer, the building
+ *  block of the machine-state digests (DESIGN.md §12.1). */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 } // namespace acr
 
 #endif // ACR_COMMON_TYPES_HH

@@ -109,8 +109,9 @@ BerRuntime::run(const isa::Program &program,
 
     // --- Recovery validation (DESIGN.md §12.1) ---
     // Every run's oracle audits recomputation and checks the final
-    // image; config.oracle arms its shadow hooks on top.
-    validate::RecoveryOracle oracle(system, stats);
+    // image; config.oracle arms its shadow hooks on top. Both check
+    // against the profile's golden track.
+    validate::RecoveryOracle oracle(system, profile.goldenTrack, stats);
 
     // --- Checkpoint substrate ---
     ckpt::CheckpointManager manager({config.coordination, config.backend},

@@ -32,7 +32,8 @@ class BerRuntime
      *                 SlicePass) when config.mode == kReCkpt
      * @param profile  NoCkpt profile of the same program (progress and
      *                 cycle totals drive the checkpoint/error schedules;
-     *                 the final image is the verification reference)
+     *                 its golden track and final image are the
+     *                 verification reference)
      * @param prefix   optional prefix-sharing handle (DESIGN.md
      *                 §13.6): the run resumes from the offered snapshot
      *                 or captures one at its first fault trigger; this

@@ -81,6 +81,13 @@ MainMemory::image() const
 Addr
 MainMemory::firstDifference(const MainMemory &other) const
 {
+    std::vector<Addr> first = differences(other, 1);
+    return first.empty() ? kInvalidAddr : first.front();
+}
+
+std::vector<Addr>
+MainMemory::differences(const MainMemory &other, std::size_t limit) const
+{
     std::vector<Addr> ids = pageIds();
     std::vector<Addr> other_ids = other.pageIds();
     std::vector<Addr> all;
@@ -89,17 +96,36 @@ MainMemory::firstDifference(const MainMemory &other) const
                other_ids.end(), std::back_inserter(all));
     all.erase(std::unique(all.begin(), all.end()), all.end());
 
+    std::vector<Addr> out;
     for (Addr page_id : all) {
+        if (out.size() >= limit)
+            break;
         const Word *a = findPage(page_id);
         const Word *b = other.findPage(page_id);
-        for (std::size_t i = 0; i < kPageWords; ++i) {
+        if (a && b && std::equal(a, a + kPageWords, b))
+            continue;
+        for (std::size_t i = 0; i < kPageWords && out.size() < limit;
+             ++i) {
             Word va = a ? a[i] : 0;
             Word vb = b ? b[i] : 0;
             if (va != vb)
-                return page_id * kPageWords + i;
+                out.push_back(page_id * kPageWords + i);
         }
     }
-    return kInvalidAddr;
+    return out;
+}
+
+std::uint64_t
+MainMemory::digest() const
+{
+    std::uint64_t sum = 0;
+    for (Addr page_id : pageIds()) {
+        const Word *page = findPage(page_id);
+        const Addr base = page_id * kPageWords;
+        for (std::size_t i = 0; i < kPageWords; ++i)
+            sum += wordDigest(base + i, page[i]);
+    }
+    return sum;
 }
 
 MainMemory::Snap

@@ -101,6 +101,31 @@ class MainMemory
      */
     Addr firstDifference(const MainMemory &other) const;
 
+    /** The first @p limit addresses whose words differ from @p other's,
+     *  ascending (unbacked words read as zero). Pages are compared
+     *  whole first, so equal pages cost one memcmp. */
+    std::vector<Addr> differences(const MainMemory &other,
+                                  std::size_t limit) const;
+
+    /** One word's share of digest(): zero for a zero word, so a
+     *  store's effect on the digest is wordDigest(addr, new) -
+     *  wordDigest(addr, old). */
+    static std::uint64_t
+    wordDigest(Addr addr, Word value)
+    {
+        return value == 0
+                   ? 0
+                   : mix64(value ^ (addr * 0x9e3779b97f4a7c15ULL));
+    }
+
+    /**
+     * Order-independent digest of the contents: the wrapping sum of
+     * wordDigest() over every non-zero word. An allocated all-zero
+     * page digests like an absent one, and a running sum can be kept
+     * from the stores alone (DESIGN.md §12.1).
+     */
+    std::uint64_t digest() const;
+
     /** Backed pages by id, for the prefix-sharing snapshot
      *  (DESIGN.md §13). */
     struct Snap

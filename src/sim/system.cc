@@ -85,7 +85,7 @@ MulticoreSystem::finishStep(bool any_ran)
 void
 MulticoreSystem::runToCompletion()
 {
-    runToCompletionWith(observer_);
+    runToCompletionWith(observer_, [] {});
 }
 
 void
@@ -150,6 +150,25 @@ MulticoreSystem::syncCores(cache::SharerMask mask, Cycle extra)
             cores_[c]->setCycle(aligned);
     }
     return aligned;
+}
+
+std::uint64_t
+MulticoreSystem::archDigest() const
+{
+    std::uint64_t h = 0;
+    auto add = [&h](std::uint64_t value) {
+        h = mix64(h + value + 0x9e3779b97f4a7c15ULL);
+    };
+    for (const auto &core : cores_) {
+        const cpu::ArchState arch = core->saveArch();
+        add(arch.pc);
+        for (Word reg : arch.regs)
+            add(reg);
+        add(arch.instrsRetired);
+        add(static_cast<std::uint64_t>(arch.state));
+        add(arch.barrierEpoch);
+    }
+    return h;
 }
 
 cache::SharerMask

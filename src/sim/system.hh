@@ -38,6 +38,21 @@ enum class SystemState
     kBlocked,
 };
 
+/**
+ * The machine at one step boundary, as digests: what the slice pass
+ * records for every boundary of its error-free run (the golden track)
+ * and the recovery oracle compares live establishments against
+ * (DESIGN.md §12.1).
+ */
+struct StepDigest
+{
+    std::uint64_t progress = 0;
+    std::uint64_t arch = 0;    ///< MulticoreSystem::archDigest()
+    std::uint64_t memory = 0;  ///< MainMemory::digest()
+
+    bool operator==(const StepDigest &other) const = default;
+};
+
 /** The simulated machine. */
 class MulticoreSystem
 {
@@ -86,13 +101,15 @@ class MulticoreSystem
     /** Run to completion (NoCkpt executions and tests). */
     void runToCompletion();
 
-    /** runToCompletion() over the devirtualized stepWith() path. */
-    template <class Obs>
+    /** runToCompletion() over the devirtualized stepWith() path,
+     *  calling @p on_step() at every step boundary. */
+    template <class Obs, class OnStep>
     void
-    runToCompletionWith(Obs *observer)
+    runToCompletionWith(Obs *observer, OnStep &&on_step)
     {
         while (true) {
             SystemState state = stepWith(observer);
+            on_step();
             if (state == SystemState::kAllHalted)
                 return;
             if (state == SystemState::kBlocked)
@@ -119,6 +136,9 @@ class MulticoreSystem
      * @return the aligned cycle.
      */
     Cycle syncCores(cache::SharerMask mask, Cycle extra = 0);
+
+    /** Order-dependent digest of every core's ArchState. */
+    std::uint64_t archDigest() const;
 
     /** Mask containing every core. */
     cache::SharerMask allCoresMask() const;

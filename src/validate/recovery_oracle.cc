@@ -146,9 +146,11 @@ Divergence::describe() const
 }
 
 RecoveryOracle::RecoveryOracle(sim::MulticoreSystem &system,
+                               const std::vector<sim::StepDigest> &golden,
                                StatSet &stats)
-    : system_(system), stats_(stats)
+    : system_(system), golden_(golden), stats_(stats)
 {
+    ACR_ASSERT(!golden_.empty(), "oracle needs a golden track");
 }
 
 void
@@ -206,10 +208,20 @@ RecoveryOracle::auditLogs(const ckpt::CheckpointManager &manager)
 }
 
 bool
-RecoveryOracle::goldenMatchesSystem(std::string *why) const
+RecoveryOracle::goldenMatches(std::string *why) const
 {
+    // A digest match is trusted (DESIGN.md §12.1); a mismatch is
+    // re-derived on a real replay, which names what differs.
+    const sim::StepDigest &want_digest = golden_[goldenAt_];
+    if (system_.archDigest() == want_digest.arch &&
+        system_.memory().digest() == want_digest.memory)
+        return true;
+    sim::MulticoreSystem replay(system_.config(), system_.program());
+    for (std::size_t step = 0; step < goldenAt_; ++step)
+        replay.step();
+
     for (CoreId c = 0; c < system_.numCores(); ++c) {
-        cpu::ArchState want = golden_->core(c).saveArch();
+        cpu::ArchState want = replay.core(c).saveArch();
         cpu::ArchState have = system_.core(c).saveArch();
         if (!(want == have)) {
             *why = csprintf("core %u: %s", c,
@@ -217,13 +229,12 @@ RecoveryOracle::goldenMatchesSystem(std::string *why) const
             return false;
         }
     }
-    const Addr addr =
-        golden_->memory().firstDifference(system_.memory());
+    const Addr addr = replay.memory().firstDifference(system_.memory());
     if (addr != kInvalidAddr) {
         *why = csprintf(
             "memory addr %llu: golden %llu != actual %llu",
             static_cast<unsigned long long>(addr),
-            static_cast<unsigned long long>(golden_->memory().read(addr)),
+            static_cast<unsigned long long>(replay.memory().read(addr)),
             static_cast<unsigned long long>(system_.memory().read(addr)));
         return false;
     }
@@ -233,11 +244,17 @@ RecoveryOracle::goldenMatchesSystem(std::string *why) const
 bool
 RecoveryOracle::compareAgainstGolden(std::uint64_t target)
 {
-    // Progress rewinds on rollback; the golden replay only steps
-    // forward, so a rewound target means replaying from scratch.
-    if (!golden_ || golden_->progress() > target)
-        golden_ = std::make_unique<sim::MulticoreSystem>(
-            system_.config(), system_.program());
+    // Progress rewinds on rollback; the walk only steps forward, so a
+    // rewound target means walking from the start. Stepping past the
+    // last boundary (the halted machine) stays on it.
+    if (golden_[goldenAt_].progress > target)
+        goldenAt_ = 0;
+    const std::size_t last = golden_.size() - 1;
+    auto step = [&] {
+        if (goldenAt_ < last)
+            ++goldenAt_;
+    };
+    auto progress = [&] { return golden_[goldenAt_].progress; };
 
     auto fail = [&](const std::string &why) {
         Divergence d;
@@ -248,35 +265,34 @@ RecoveryOracle::compareAgainstGolden(std::uint64_t target)
         return false;
     };
 
-    while (golden_->progress() < target) {
-        sim::SystemState state = golden_->step();
-        if (state != sim::SystemState::kRunning &&
-            golden_->progress() < target) {
+    while (progress() < target) {
+        step();
+        if (goldenAt_ == last && progress() < target) {
             return fail(csprintf(
                 "golden replay stopped at progress %llu before "
                 "reaching %llu",
-                static_cast<unsigned long long>(golden_->progress()),
+                static_cast<unsigned long long>(progress()),
                 static_cast<unsigned long long>(target)));
         }
     }
-    if (golden_->progress() > target) {
+    if (progress() > target) {
         return fail(csprintf(
             "golden replay overshot to progress %llu (target %llu): "
             "step boundaries diverged",
-            static_cast<unsigned long long>(golden_->progress()),
+            static_cast<unsigned long long>(progress()),
             static_cast<unsigned long long>(target)));
     }
 
     // A barrier release retires no instructions, so several successive
-    // step boundaries can share one progress value; walk the golden
-    // replay through them before declaring a mismatch.
+    // step boundaries can share one progress value; walk the track
+    // through them before declaring a mismatch.
     std::string why;
     unsigned extra = 0;
-    while (!goldenMatchesSystem(&why)) {
-        if (golden_->allHalted() || extra++ > system_.numCores() + 2)
+    while (!goldenMatches(&why)) {
+        if (goldenAt_ == last || extra++ > system_.numCores() + 2)
             return fail(why);
-        golden_->step();
-        if (golden_->progress() != target)
+        step();
+        if (progress() != target)
             return fail(why);
         why.clear();
     }
@@ -356,7 +372,7 @@ RecoveryOracle::beforeRecovery(const ckpt::CheckpointManager &manager)
     for (auto it = manager.retained().rbegin();
          it != manager.retained().rend(); ++it)
         capture(it->log);
-    preImage_ = system_.memory().image();
+    prePages_ = system_.memory().save();
     captureValid_ = true;
 }
 
@@ -453,68 +469,53 @@ RecoveryOracle::afterRecovery(const ckpt::CheckpointManager &manager,
     // --- Memory: every word either keeps its pre-recovery value or is
     // restored to the oldest applied undo record's old value. ---
     if (captureValid_) {
-        std::map<Addr, Word> expected = preImage_;
-        struct Origin
-        {
-            std::uint64_t interval;
-            CapturedRecord record;
+        // Later captures are older intervals, so applying them in
+        // capture order leaves each word at its oldest applied record,
+        // matching recovery's apply order.
+        auto applied = [&](const CapturedLog &log,
+                           const CapturedRecord &record) {
+            return log.interval > outcome.targetIndex &&
+                   inMask(affected, record.writer);
         };
-        std::map<Addr, Origin> origin;
+        mem::MainMemory expected;
+        expected.restore(prePages_);
         for (const CapturedLog &log : capturedLogs_) {
-            if (log.interval <= outcome.targetIndex)
-                continue;
             for (const CapturedRecord &record : log.records) {
-                if (!inMask(affected, record.writer))
-                    continue;
-                // Later captures are older intervals; the last
-                // assignment wins, matching recovery's apply order.
-                expected[record.addr] = record.oldValue;
-                origin[record.addr] = Origin{log.interval, record};
+                if (applied(log, record))
+                    expected.write(record.addr, record.oldValue);
             }
         }
 
-        std::map<Addr, Word> actual = system_.memory().image();
-        unsigned reported = 0;
-        std::map<Addr, Word> scan = expected;
-        for (const auto &[addr, value] : actual) {
-            if (scan.find(addr) == scan.end())
-                scan[addr] = 0;  // present only in actual
-        }
-        for (const auto &[addr, unused] : scan) {
-            Word want = 0, have = 0;
-            auto e = expected.find(addr);
-            if (e != expected.end())
-                want = e->second;
-            auto a = actual.find(addr);
-            if (a != actual.end())
-                have = a->second;
-            if (want == have)
-                continue;
-            if (reported++ >= 4)
-                break;
+        for (Addr addr : expected.differences(system_.memory(), 4)) {
             Divergence d;
             d.kind = DivergenceKind::kMemoryWord;
             d.recovery = recoveriesChecked_;
             d.ckptIndex = outcome.targetIndex;
             d.addr = addr;
-            d.expected = want;
-            d.actual = have;
-            auto o = origin.find(addr);
-            if (o != origin.end()) {
-                d.interval = o->second.interval;
-                d.writer = o->second.record.writer;
-                d.sliceId = o->second.record.sliceId;
-                d.detail = o->second.record.amnesic
-                               ? "restored by amnesic record"
-                               : "restored by stored record";
-            } else {
-                d.detail = "word outside the rollback's undo set "
-                           "changed";
+            d.expected = expected.read(addr);
+            d.actual = system_.memory().read(addr);
+            d.detail = "word outside the rollback's undo set changed";
+            // The originating record: the last applied one naming addr.
+            for (auto log = capturedLogs_.rbegin();
+                 log != capturedLogs_.rend() && d.writer == kInvalidCore;
+                 ++log) {
+                for (const CapturedRecord &record : log->records) {
+                    if (record.addr != addr || !applied(*log, record))
+                        continue;
+                    d.interval = log->interval;
+                    d.writer = record.writer;
+                    d.sliceId = record.sliceId;
+                    d.detail = record.amnesic
+                                   ? "restored by amnesic record"
+                                   : "restored by stored record";
+                    break;
+                }
             }
             addDivergence(std::move(d));
         }
     }
     captureValid_ = false;
+    prePages_ = {};
 
     // --- Architectural state of every rolled-back core. ---
     if (snap != nullptr) {
@@ -622,6 +623,9 @@ RecoveryOracle::afterRecovery(const ckpt::CheckpointManager &manager,
 void
 RecoveryOracle::onFinalImage(const std::map<Addr, Word> &expected)
 {
+    // Digests first; the images only name the first differing word.
+    if (system_.memory().digest() == golden_.back().memory)
+        return;
     Addr addr;
     Word want, have;
     if (imagesEqual(expected, system_.memory().image(), &addr, &want,

@@ -6,10 +6,11 @@
  * establishment it snapshots what a correct checkpoint must restore
  * beyond its memory (per-core ArchState, the slice instances the log
  * pins) and — when the execution is known to be on the fault-free path —
- * compares the machine against a deterministic golden replay of the same
- * program. After every recovery it re-derives the full expected machine
- * state from the memory image and undo logs it captured *before* the
- * rollback mutated them and checks memory, architectural state, the
+ * compares the machine against the golden track: the state digests the
+ * slice pass recorded at every step boundary of the same program's
+ * error-free run. After every recovery it re-derives the full expected
+ * machine state from the memory pages and undo logs it captured *before*
+ * the rollback mutated them and checks memory, architectural state, the
  * log-bit index, two-checkpoint retention, `validFor` masks, and
  * slice-instance pinning. Violations are reported as structured Divergence records
  * (address, expected/actual word, originating record, slice id) instead
@@ -20,13 +21,13 @@
  * the manager's auditor (recomputation mismatches) and the run's one
  * final-image check. ExperimentConfig::oracle arms the shadow hooks —
  * establishment snapshots, the before/after-recovery checks, and the
- * golden replay — which are what cost time.
+ * golden comparison — which are what cost time.
  *
  * Taint tracking makes the golden comparison sound under multi-error
  * campaigns: a checkpoint established while a corruption is latent (the
  * Fig. 2 hazard) is off the golden path, as is everything after a
  * partial (group-local) rollback, whose survivors keep post-rollback
- * progress the golden replay never visits. Off-path state still gets
+ * progress the golden run never visits. Off-path state still gets
  * the full set of internal-consistency checks — only the golden
  * image/arch comparison is gated.
  */
@@ -42,6 +43,7 @@
 #include "ckpt/auditor.hh"
 #include "ckpt/manager.hh"
 #include "common/stats.hh"
+#include "mem/main_memory.hh"
 #include "sim/system.hh"
 
 namespace acr::validate
@@ -57,7 +59,7 @@ enum class DivergenceKind
     kRetention,    ///< two-checkpoint retention / missing target
     kValidFor,     ///< newer checkpoint still valid for a rolled-back core
     kPinning,      ///< pinned SliceInstance died while its log lives
-    kGoldenState,  ///< on-path establishment != golden fault-free replay
+    kGoldenState,  ///< on-path establishment != golden fault-free run
     kFinalImage,   ///< final memory image != error-free reference
     kEscalation,   ///< escalation-ladder outcome inconsistent with the
                    ///< medium's state (DESIGN.md §16): an unrecoverable
@@ -99,9 +101,15 @@ struct Divergence
 class RecoveryOracle : public ckpt::RecoveryAuditor
 {
   public:
-    /** @param system  the machine to validate; the golden replay
-     *                 re-runs its own config and program */
-    RecoveryOracle(sim::MulticoreSystem &system, StatSet &stats);
+    /**
+     * @param system  the machine to validate
+     * @param golden  the slice pass's golden track of the same
+     *                program and machine (SlicePassResult::goldenTrack);
+     *                it must outlive the oracle
+     */
+    RecoveryOracle(sim::MulticoreSystem &system,
+                   const std::vector<sim::StepDigest> &golden,
+                   StatSet &stats);
 
     /** Snapshot checkpoint 0 (call right after initialCheckpoint()). */
     void onInitialCheckpoint(const ckpt::CheckpointManager &manager);
@@ -115,7 +123,7 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
     void onEstablish(const ckpt::CheckpointManager &manager,
                      unsigned latent_errors);
 
-    /** Capture the undo logs (and memory image) a recovery is about to
+    /** Capture the undo logs (and memory pages) a recovery is about to
      *  consume, before the rollback compacts them. */
     void beforeRecovery(const ckpt::CheckpointManager &manager);
 
@@ -125,7 +133,9 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
                        const ckpt::RecoveryOutcome &outcome,
                        Cycle error_time);
 
-    /** End-of-run check against the error-free final image. */
+    /** End-of-run check against the golden track's final memory
+     *  digest; @p expected (the error-free final image) names the
+     *  first differing word on a mismatch. */
     void onFinalImage(const std::map<Addr, Word> &expected);
 
     /** RecoveryAuditor: amnesic replay disagreed with its shadow. */
@@ -184,16 +194,22 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
     Snapshot captureSnapshot(const ckpt::Checkpoint &ckpt) const;
     void auditLogs(const ckpt::CheckpointManager &manager);
 
-    /** Advance the golden replay to progress @p target (rebuilding it
-     *  from scratch if the rollback rewound progress) and compare the
-     *  live machine against it. False: divergence reported. */
+    /** Walk the golden track to progress @p target (back to its start
+     *  if the rollback rewound progress) and compare the live machine
+     *  against it. False: divergence reported. */
     bool compareAgainstGolden(std::uint64_t target);
-    bool goldenMatchesSystem(std::string *why) const;
+    /** The live machine matches the track at goldenAt_; on a digest
+     *  mismatch, a real replay to that boundary decides and fills
+     *  @p why. */
+    bool goldenMatches(std::string *why) const;
 
     sim::MulticoreSystem &system_;
+    const std::vector<sim::StepDigest> &golden_;
     StatSet &stats_;
 
-    std::unique_ptr<sim::MulticoreSystem> golden_;
+    /** Boundary of golden_ the walk is at (the steps a golden replay
+     *  would have taken). */
+    std::size_t goldenAt_ = 0;
 
     /** Snapshots of currently retained checkpoints, keyed by index. */
     std::map<std::uint64_t, Snapshot> snapshots_;
@@ -201,7 +217,7 @@ class RecoveryOracle : public ckpt::RecoveryAuditor
     /** Captured by beforeRecovery: open log first, then retained logs
      *  newest -> oldest (the order recovery applies them). */
     std::vector<CapturedLog> capturedLogs_;
-    std::map<Addr, Word> preImage_;
+    mem::MainMemory::Snap prePages_;
     bool captureValid_ = false;
 
     /** The last restore target was on the golden path (start: true). */

@@ -14,7 +14,9 @@
 #include "acr/addr_map.hh"
 #include "acr/slice_pass.hh"
 #include "isa/builder.hh"
+#include "sim/system.hh"
 #include "workloads/kernel_spec.hh"
+#include "workloads/workload.hh"
 
 namespace acr::amnesic
 {
@@ -418,6 +420,40 @@ TEST(SlicePass, HigherThresholdHintsMoreStores)
         prev = result.hintedStores;
     }
     EXPECT_GT(prev, 0u);
+}
+
+TEST(SlicePass, GoldenTrackMatchesAFreshRunOfEveryKernel)
+{
+    // Boundary i of the track is the machine after i steps: a fresh
+    // system stepped i times must digest to exactly the same values,
+    // although the pass kept its memory digest from the stores alone.
+    const auto machine = sim::MachineConfig::tableI(8);
+    for (const std::string &name : workloads::allWorkloadNames()) {
+        const isa::Program program =
+            workloads::makeWorkload(name)->build({});
+        const auto result =
+            SlicePass::run(program, machine, slice::SlicePolicyConfig{});
+        ASSERT_GE(result.goldenTrack.size(), 2u) << name;
+
+        sim::MulticoreSystem fresh(machine, program);
+        for (std::size_t i = 0; i < result.goldenTrack.size(); ++i) {
+            if (i > 0)
+                fresh.step();
+            const sim::StepDigest want{fresh.progress(),
+                                       fresh.archDigest(),
+                                       fresh.memory().digest()};
+            ASSERT_TRUE(result.goldenTrack[i] == want)
+                << name << " boundary " << i;
+        }
+        EXPECT_TRUE(fresh.allHalted()) << name;
+        EXPECT_EQ(result.goldenTrack.back().progress,
+                  result.totalProgress);
+
+        std::uint64_t image_digest = 0;
+        for (const auto &[addr, value] : result.finalImage)
+            image_digest += mem::MainMemory::wordDigest(addr, value);
+        EXPECT_EQ(result.goldenTrack.back().memory, image_digest) << name;
+    }
 }
 
 } // namespace

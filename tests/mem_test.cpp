@@ -70,6 +70,61 @@ TEST(MainMemory, FirstDifferenceFindsTheFirstMismatch)
     EXPECT_EQ(c.firstDifference(d), kInvalidAddr);
 }
 
+TEST(MainMemory, DigestTreatsZeroPagesAsAbsentAndCountsOverflowPages)
+{
+    MainMemory a, b;
+    EXPECT_EQ(a.digest(), 0u);
+    a.write(5 * MainMemory::kPageWords + 3, 0);  // allocates, stays zero
+    ASSERT_EQ(a.pageCount(), 1u);
+    EXPECT_EQ(a.digest(), b.digest());
+
+    const Addr overflow =
+        MainMemory::kDirectPages * MainMemory::kPageWords + 7;
+    a.write(overflow, 42);
+    EXPECT_EQ(a.digest(), MainMemory::wordDigest(overflow, 42));
+    b.write(overflow, 42);
+    EXPECT_EQ(a.digest(), b.digest());
+
+    // A running digest kept from the stores alone tracks the scan.
+    std::uint64_t running = a.digest();
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        const Addr addr = rng.below(3 * MainMemory::kPageWords);
+        const Word value = rng.chance(0.2) ? 0 : rng.next();
+        const Word old = a.write(addr, value);
+        running += MainMemory::wordDigest(addr, value) -
+                   MainMemory::wordDigest(addr, old);
+    }
+    EXPECT_EQ(running, a.digest());
+    EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(MainMemory, DifferencesAreAscendingAndStopAtTheLimit)
+{
+    constexpr Addr kPage = MainMemory::kPageWords;
+    const Addr overflow = MainMemory::kDirectPages * kPage + 1;
+    MainMemory a, b;
+    a.write(7, 2);
+    b.write(7, 2);            // equal on both sides
+    b.write(3 * kPage + 1, 1);  // page only b has
+    b.write(overflow, 5);     // overflow page only b has
+    a.write(kPage - 1, 3);
+    a.write(20, 4);
+    a.write(21, 4);
+    a.write(2 * kPage, 0);    // allocated zero page: no difference
+
+    const std::vector<Addr> all{20, 21, kPage - 1, 3 * kPage + 1,
+                                overflow};
+    EXPECT_EQ(a.differences(b, 10), all);
+    EXPECT_EQ(b.differences(a, 10), all);
+    EXPECT_EQ(a.differences(b, 2), (std::vector<Addr>{20, 21}));
+    EXPECT_EQ(a.differences(b, 4),
+              (std::vector<Addr>(all.begin(), all.begin() + 4)));
+    EXPECT_TRUE(a.differences(b, 0).empty());
+    EXPECT_TRUE(a.differences(a, 10).empty());
+    EXPECT_EQ(a.firstDifference(b), 20u);
+}
+
 TEST(MainMemory, RandomizedWriteReadAgainstReferenceModel)
 {
     MainMemory m;

@@ -10,6 +10,8 @@
 #      repro line — and a nonzero exit — instead of an abort.
 #   3. The campaign knobs reach the run through the environment path
 #      (ACR_TORTURE_* shares the flags' strict parser).
+#   4. The oracle only observes: the clean campaign's table is
+#      byte-identical with its shadow hooks off.
 #
 # Invoke with
 #   cmake -DBENCH=<path to torture> -DOUT=<scratch dir>
@@ -103,5 +105,24 @@ if(NOT stderr MATCHES "ACR_TORTURE_ERRORS")
             "parse error does not name the variable:\n${stderr}")
 endif()
 
-message(STATUS "torture smoke: clean campaign deterministic, "
-               "violation reported and shrunk, env path strict")
+# 4. The oracle only observes: with --oracle=off the table (everything
+#    after the "Torture:" header line, which names the setting) must not
+#    change by a byte.
+run_torture("${OUT}/oracle_off.txt" 0 --jobs=1 --oracle=off)
+file(READ "${OUT}/oracle_off.txt" oracle_off)
+if(NOT clean MATCHES "^Torture:[^\n]*oracle on\n" OR
+   NOT oracle_off MATCHES "^Torture:[^\n]*oracle off\n")
+    message(FATAL_ERROR "unexpected Torture: header lines:\n"
+                        "${clean}\n${oracle_off}")
+endif()
+string(REGEX REPLACE "^Torture:[^\n]*\n" "" on_table "${clean}")
+string(REGEX REPLACE "^Torture:[^\n]*\n" "" off_table "${oracle_off}")
+if(NOT on_table STREQUAL off_table)
+    message(FATAL_ERROR
+            "--oracle=off changed the campaign table:\n${on_table}\n"
+            "--- oracle off ---\n${off_table}")
+endif()
+
+message(STATUS "torture smoke: clean campaign deterministic and "
+               "unchanged by the oracle, violation reported and shrunk, "
+               "env path strict")

@@ -16,7 +16,10 @@
 #include <cstdlib>
 #include <string>
 
+#include "acr/slice_pass.hh"
 #include "harness/runner.hh"
+#include "validate/recovery_oracle.hh"
+#include "workloads/kernel_spec.hh"
 
 namespace
 {
@@ -214,6 +217,166 @@ TEST(RecoveryOracle, OracleOffStillReportsARecomputeMismatch)
         return report.substr(0, report.find('\n'));
     };
     EXPECT_EQ(first_line(off.oracleReport), first_line(on.oracleReport));
+}
+
+TEST(RecoveryOracle, FixtureReportsAreLockedByteForByte)
+{
+    // Every fixture's full report under both coordinations, with the
+    // shadow hooks on and off. Oracle-off runs check only the final
+    // image, and re-execution rewrites the word CORRUPT_RECOVERY
+    // flips and the one DROP_LOG_RECORD leaves stale, so they report
+    // nothing; FLIP_REPLAY is the auditor's finding either way.
+    const std::string corrupt =
+        "[oracle] memory-word recovery=1 ckpt=0 interval=1 addr=1048808 "
+        "expected=0 actual=1 writer=0: restored by stored record";
+    const std::string drop_global =
+        "[oracle] memory-word recovery=2 ckpt=2 interval=3 addr=1048808 "
+        "expected=11867325109708245576 actual=14005341365132357023 "
+        "writer=0: restored by stored record";
+    const std::string drop_local =
+        "[oracle] memory-word recovery=2 ckpt=2 interval=3 addr=8388608 "
+        "expected=0 actual=279963994462758042 writer=0: restored by "
+        "stored record";
+    const std::string flip =
+        "[oracle] recompute recovery=1 ckpt=0 interval=2 addr=1097742 "
+        "expected=8053019417134181768 actual=8053019417134181769 "
+        "writer=0 slice=3: slice replay disagreed with the record's "
+        "shadow value";
+    struct Case
+    {
+        const char *hook;
+        const char *ordinal;
+        ckpt::Coordination coordination;
+        bool oracle;
+        std::string report;
+    };
+    const auto global = ckpt::Coordination::kGlobal;
+    const auto local = ckpt::Coordination::kLocal;
+    const Case cases[] = {
+        {"ACR_TEST_CORRUPT_RECOVERY", "1", global, true, corrupt},
+        {"ACR_TEST_CORRUPT_RECOVERY", "1", global, false, ""},
+        {"ACR_TEST_CORRUPT_RECOVERY", "1", local, true, corrupt},
+        {"ACR_TEST_CORRUPT_RECOVERY", "1", local, false, ""},
+        {"ACR_TEST_DROP_LOG_RECORD", "2", global, true, drop_global},
+        {"ACR_TEST_DROP_LOG_RECORD", "2", global, false, ""},
+        {"ACR_TEST_DROP_LOG_RECORD", "2", local, true, drop_local},
+        {"ACR_TEST_DROP_LOG_RECORD", "2", local, false, ""},
+        {"ACR_TEST_FLIP_REPLAY", "1", global, true, flip},
+        {"ACR_TEST_FLIP_REPLAY", "1", global, false, flip},
+        {"ACR_TEST_FLIP_REPLAY", "1", local, true, flip},
+        {"ACR_TEST_FLIP_REPLAY", "1", local, false, flip},
+    };
+    for (const Case &c : cases) {
+        ScopedEnv hook(c.hook, c.ordinal);
+        Runner runner(8);
+        auto config = campaignConfig(c.coordination, 0xacce55ULL);
+        config.oracle = c.oracle;
+        const auto result = runner.run("is", config);
+        EXPECT_EQ(result.oracleReport, c.report)
+            << c.hook << " "
+            << (c.coordination == global ? "global" : "local")
+            << (c.oracle ? " oracle on" : " oracle off");
+    }
+}
+
+/**
+ * The oracle driven by hand on a small two-core kernel: checkpoints
+ * established on the golden path, with the machine free to be
+ * tampered with between them.
+ */
+struct OracleRig : cpu::ExecObserver
+{
+    OracleRig()
+        : machine(sim::MachineConfig::tableI(2)),
+          program(miniKernel()),
+          pass(amnesic::SlicePass::run(program, machine,
+                                       slice::SlicePolicyConfig{})),
+          system(machine, program),
+          oracle(system, pass.goldenTrack, stats),
+          manager({ckpt::Coordination::kGlobal, ckpt::Backend::kLog},
+                  system, nullptr, oracle, stats)
+    {
+        system.setObserver(this);
+        manager.initialCheckpoint();
+        oracle.onInitialCheckpoint(manager);
+    }
+
+    static isa::Program
+    miniKernel()
+    {
+        workloads::KernelSpec spec;
+        spec.name = "mini";
+        spec.outerIters = 6;
+        spec.phases = {{16, 4}, {16, 12}};
+        spec.comm = workloads::Comm::kNone;
+        workloads::WorkloadParams params;
+        params.threads = 2;
+        return workloads::buildKernel(spec, params);
+    }
+
+    void
+    onInstr(const cpu::InstrEvent &e) override
+    {
+        if (isa::isStore(e.inst->op))
+            manager.onStore(e.core, e.addr, e.oldValue);
+    }
+
+    /** Step until progress reaches @p target (or the program ends). */
+    void
+    runTo(std::uint64_t target)
+    {
+        while (system.progress() < target && !system.allHalted())
+            system.step();
+    }
+
+    void
+    establish()
+    {
+        manager.establish();
+        oracle.onEstablish(manager, 0);
+    }
+
+    StatSet stats;
+    sim::MachineConfig machine;
+    isa::Program program;
+    amnesic::SlicePassResult pass;
+    sim::MulticoreSystem system;
+    validate::RecoveryOracle oracle;
+    ckpt::CheckpointManager manager;
+};
+
+TEST(RecoveryOracle, LiveWordWrittenOnTheGoldenPathIsOneGoldenStateDivergence)
+{
+    // A word the kernel never touches, written between two on-path
+    // establishments: the second one's digests miss the golden track,
+    // and the replay that follows names the word exactly.
+    constexpr Addr kAddr = 48u << 20;
+    OracleRig rig;
+    ASSERT_EQ(rig.pass.finalImage.count(kAddr), 0u);
+    const std::uint64_t total = rig.pass.totalProgress;
+
+    rig.runTo(total / 4);
+    rig.establish();
+    ASSERT_EQ(rig.oracle.report(), "");
+    EXPECT_EQ(rig.stats.get("oracle.goldenCompares"), 1.0);
+
+    rig.system.memory().write(kAddr, 0xfeed);
+    rig.runTo(total / 2);
+    rig.establish();
+    EXPECT_EQ(rig.oracle.report(),
+              "[oracle] golden-state ckpt=0: memory addr 50331648: "
+              "golden 0 != actual 65261");
+    EXPECT_EQ(rig.stats.get("oracle.goldenCompares"), 1.0);
+
+    // The final-image check names the same word from the images.
+    rig.runTo(total);
+    ASSERT_TRUE(rig.system.allHalted());
+    rig.oracle.onFinalImage(rig.pass.finalImage);
+    ASSERT_EQ(rig.oracle.divergences().size(), 2u);
+    EXPECT_EQ(rig.oracle.divergences()[1].describe(),
+              "[oracle] final-image ckpt=0 addr=50331648 expected=0 "
+              "actual=65261: final memory image diverged from the "
+              "error-free reference");
 }
 
 TEST(RecoveryOracle, OffByDefaultAndSilentWhenOff)
