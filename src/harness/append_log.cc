@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -87,6 +88,41 @@ AppendLog::create(const std::string &path, const std::string &header)
     if (const int error = persist(fd_, header + "\n"))
         fatal("writing %s '%s': %s", what_, path.c_str(),
               std::strerror(error));
+}
+
+bool
+AppendLog::replace(const std::vector<std::string> &lines)
+{
+    ACR_ASSERT(fd_ < 0, "%s already open", what_);
+    std::string bytes;
+    for (const std::string &line : lines)
+        bytes += line + "\n";
+    // Per-process temp name: two processes compacting one file must
+    // not write into each other's copy.
+    const std::string temp =
+        csprintf("%s.tmp%d", path_.c_str(), static_cast<int>(::getpid()));
+    int error = failNextWrite_ ? ENOSPC : 0;
+    failNextWrite_ = false;
+    if (error == 0) {
+        const int fd =
+            ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        error = fd < 0 ? errno : persist(fd, bytes);
+        if (fd >= 0)
+            ::close(fd);
+        if (error == 0 && std::rename(temp.c_str(), path_.c_str()) != 0)
+            error = errno;
+    }
+    if (error != 0) {
+        ::unlink(temp.c_str());
+        warn("%s '%s': rewrite failed (%s); keeping the file as it is",
+             what_, path_.c_str(), std::strerror(error));
+        return false;
+    }
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
+    if (fd_ < 0)
+        fatal("cannot reopen %s '%s': %s", what_, path_.c_str(),
+              std::strerror(errno));
+    return true;
 }
 
 bool

@@ -6,7 +6,9 @@
  * mid-append) is dropped on load and chopped off before appending
  * resumes, every record is fsync'd, and a failed write or fsync
  * (ENOSPC, EIO) warns once and turns the log into a no-op instead of
- * killing the sweep.
+ * killing the sweep. An owner that skipped lines of the loaded file
+ * can replace() it with the lines it keeps: a temp file, fsync'd, then
+ * renamed over the old one, so a crash leaves one or the other whole.
  *
  * Not thread-safe: the owner serializes calls under its own mutex.
  */
@@ -46,12 +48,18 @@ class AppendLog
      *  fatal() on I/O errors. */
     void create(const std::string &path, const std::string &header);
 
+    /** Replace the loaded file with @p lines (temp file, fsync,
+     *  rename) and open it for appending. False, with a warning, when
+     *  a step fails: the file is left as loaded, for resume(). */
+    bool replace(const std::vector<std::string> &lines);
+
     /** Append @p line and a newline, fsync'd. False when nothing was
      *  persisted: the log is degraded, or this append degraded it. */
     bool append(const std::string &line);
 
-    /** Test hook: make the next append fail as if the disk were full
-     *  (exercises the ENOSPC degrade path without a full disk). */
+    /** Test hook: make the next append or replace() fail as if the
+     *  disk were full (exercises the ENOSPC paths without a full
+     *  disk). */
     void failNextWriteForTest() { failNextWrite_ = true; }
 
     /** True after resume() or create() — including after a degrade,

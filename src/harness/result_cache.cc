@@ -93,6 +93,7 @@ ResultCache::open(const std::string &path)
     bool serving = false;
     bool servable = false;
     std::vector<std::string> warnings;
+    std::vector<std::size_t> served;  // the entry lines loaded, in order
     auto start_segment = [&](std::size_t i) {
         const std::string problem = headerProblem(lines[i]);
         serving = problem.empty();
@@ -129,6 +130,7 @@ ResultCache::open(const std::string &path)
                 throw serde::SerdeError(
                     "key does not match the point and result");
             entries_[wire::encodePoint(point).dump()] = std::move(result);
+            served.push_back(i);
         } catch (const serde::SerdeError &error) {
             if (serving)
                 warnings.push_back(csprintf(
@@ -148,6 +150,16 @@ ResultCache::open(const std::string &path)
     }
     for (const std::string &warning : warnings)
         warn("cache '%s': %s", path.c_str(), warning.c_str());
+    // A skipped line would warn again on every later open: rewrite the
+    // file as one header plus the entries it serves. If the rewrite
+    // fails, the file stays as it was and serves the same entries.
+    if (!warnings.empty()) {
+        std::vector<std::string> compacted = {headerLine()};
+        for (const std::size_t i : served)
+            compacted.push_back(lines[i]);
+        if (log_.replace(compacted))
+            return;
+    }
     log_.resume(lines.size());
     // New entries must not land in a rejected segment, where the next
     // open would not serve them.

@@ -33,6 +33,10 @@
  *     truncated to the durable prefix;
  *   - an unreadable entry line (flipped byte in its point or result,
  *     schema drift)  → that entry alone is skipped (served as a miss);
+ *   - an open that skipped any line (an unreadable entry, a rejected
+ *     segment) rewrites the file as one header plus the entries it
+ *     serves (temp file, fsync, rename), so the next open is silent;
+ *     if the rewrite fails, it warns and keeps the file as it was;
  *   - a failed append or fsync (ENOSPC, EIO, a yanked disk)  → the
  *     file is disabled with a one-line warning and the sweep keeps
  *     going: find() still serves everything already loaded, insert()
@@ -92,8 +96,9 @@ class ResultCache
     /** The backing file was disabled by a failed append/fsync. */
     bool degraded() const { return log_.degraded(); }
 
-    /** Test hook: make the next append fail as if the disk were full
-     *  (exercises the ENOSPC degrade path without a full disk). */
+    /** Test hook: make the next append, or the rewrite of an open that
+     *  skipped lines, fail as if the disk were full (exercises the
+     *  ENOSPC paths without a full disk). */
     void failNextWriteForTest();
 
     /**

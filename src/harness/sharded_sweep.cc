@@ -644,7 +644,8 @@ ShardedSweep::reportTiming(std::ostream &os) const
            << hostStats_.get("sweep.netLeaves") << " leave(s)\n";
     } else if (hostStats_.has("sweep.forkedWorkers")) {
         os << " on " << hostStats_.get("sweep.forkedWorkers")
-           << " forked worker(s): " << wall << " ms wall\n";
+           << " forked worker(s): " << wall << " ms wall, "
+           << hostStats_.get("sweep.coldDeals") << " cold deal(s)\n";
     } else {
         const double work = hostStats_.get("sweep.workMillis");
         os << " on " << jobs_ << " job(s): " << wall << " ms wall, "

@@ -250,7 +250,8 @@ class ShardedSweep
      *  sweep.wallMillis, and for in-process runs sweep.workMillis
      *  plus sweep.point.<index>.millis. Forked runs add the
      *  Supervisor counters (sweep.respawns, sweep.retries,
-     *  sweep.workerCrashes, sweep.watchdogKills, sweep.quarantined);
+     *  sweep.workerCrashes, sweep.watchdogKills, sweep.quarantined,
+     *  sweep.coldDeals);
      *  distributed runs add sweep.netJoins and sweep.netLeaves. */
     const StatSet &hostStats() const { return hostStats_; }
 

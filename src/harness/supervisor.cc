@@ -26,7 +26,8 @@ namespace acr::harness
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
+using Clock = Supervisor::Clock;
+using Attempt = Supervisor::Attempt;
 
 /** Seed of the backoff jitter (timing only; results are unaffected). */
 constexpr std::uint64_t kJitterSeed = 0x5eed;
@@ -101,14 +102,6 @@ spawnWorker(const std::vector<std::string> &argv, bool respawn, int &fd)
     return pid;
 }
 
-/** One attempt of one task, with its backoff gate. */
-struct Attempt
-{
-    Supervisor::Task task;
-    unsigned tries = 0;  ///< failed attempts so far
-    Clock::time_point readyAt;
-};
-
 /** One member of the fleet: a forked child on a socketpair, or a TCP
  *  connection. */
 struct Peer
@@ -120,6 +113,7 @@ struct Peer
     net::FrameChannel channel;
     State state;
     Attempt attempt;             ///< valid while kBusy
+    std::set<Supervisor::Affinity> warm;  ///< affinities dealt to it
     Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
     Clock::time_point lastHeard;
     Clock::time_point lastPing;
@@ -152,6 +146,27 @@ Supervisor::backoffSeconds(unsigned tries, std::size_t gridIndex)
     return delay * (0.5 + rng.uniform());
 }
 
+std::deque<Attempt>::const_iterator
+Supervisor::pick(const std::deque<Attempt> &queue,
+                 const std::set<Affinity> &warm,
+                 const std::set<Affinity> &claimed, Clock::time_point now)
+{
+    auto first = queue.end();
+    auto unclaimed = queue.end();
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+        if (it->readyAt > now)
+            continue;
+        const Affinity key = affinity(it->task);
+        if (warm.count(key))
+            return it;
+        if (first == queue.end())
+            first = it;
+        if (unclaimed == queue.end() && !claimed.count(key))
+            unclaimed = it;
+    }
+    return unclaimed != queue.end() ? unclaimed : first;
+}
+
 void
 Supervisor::run(const std::vector<Task> &tasks,
                 const std::vector<std::string> &workerCmd,
@@ -182,7 +197,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     std::signal(SIGPIPE, SIG_IGN);
 
     double respawns = 0, retries = 0, busy_drops = 0, watchdog_kills = 0,
-           quarantined = 0, joins = 0, leaves = 0;
+           quarantined = 0, joins = 0, leaves = 0, cold_deals = 0;
 
     std::deque<Attempt> queue;
     for (const auto &task : tasks)
@@ -354,28 +369,34 @@ Supervisor::supervise(const std::vector<Task> &tasks,
             }
         }
 
-        // Deal ready work to idle peers (dynamic work-stealing: the
-        // next free peer takes the next ready point, so a fleet of any
-        // changing size drains the same queue). A forked fleet with
-        // room spawns a peer for a ready point nobody idle can take —
-        // never for a point still waiting out its backoff. Forked
-        // peers start idle: the coordinator built their argv, so
-        // there is no identity to prove.
+        // Deal ready work to idle peers, workload-affine (pick()): a
+        // peer keeps to the workloads whose slice pass and prefix
+        // snapshot its Runner already holds, takes one no live peer
+        // holds next, and steals only when neither is queued, so a
+        // fleet of any changing size drains the same queue. A forked
+        // fleet with room spawns a peer for a ready point nobody idle
+        // can take — never for a point still waiting out its backoff.
+        // Forked peers start idle: the coordinator built their argv,
+        // so there is no identity to prove.
+        const auto is_idle = [](const std::unique_ptr<Peer> &p) {
+            return p->state == Peer::State::kIdle;
+        };
+        const std::set<Affinity> spawned_warm;  // a new peer ran nothing
         while (true) {
-            const auto ready = std::find_if(
-                queue.begin(), queue.end(),
-                [&](const Attempt &a) { return a.readyAt <= now; });
-            if (ready == queue.end())
+            std::set<Affinity> claimed;
+            for (const auto &p : peers)
+                claimed.insert(p->warm.begin(), p->warm.end());
+            const auto idle =
+                std::find_if(peers.begin(), peers.end(), is_idle);
+            Peer *peer = idle != peers.end() ? idle->get() : nullptr;
+            const auto chosen =
+                pick(queue, peer != nullptr ? peer->warm : spawned_warm,
+                     claimed, now);
+            if (chosen == queue.end())
                 break;
-            const auto idle = std::find_if(
-                peers.begin(), peers.end(),
-                [](const std::unique_ptr<Peer> &p) {
-                    return p->state == Peer::State::kIdle;
-                });
-            Peer *peer = nullptr;
-            if (idle != peers.end()) {
-                peer = idle->get();
-            } else if (workerCmd != nullptr && peers.size() < fleet) {
+            if (peer == nullptr) {
+                if (workerCmd == nullptr || peers.size() >= fleet)
+                    break;
                 const bool respawn = spawned++ >= initial_fleet;
                 respawns += respawn ? 1 : 0;
                 int fd = -1;
@@ -383,11 +404,11 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                 peers.push_back(std::make_unique<Peer>(
                     next_id++, pid, fd, Peer::State::kIdle, now));
                 peer = peers.back().get();
-            } else {
-                break;
             }
-            peer->attempt = *ready;
-            queue.erase(ready);
+            peer->attempt = *chosen;
+            queue.erase(chosen);
+            if (peer->warm.insert(affinity(peer->attempt.task)).second)
+                ++cold_deals;
             peer->state = Peer::State::kBusy;
             peer->channel.send(net::FrameType::kWire,
                                wire::encodePointLine(
@@ -432,9 +453,16 @@ Supervisor::supervise(const std::vector<Task> &tasks,
         if (remaining == 0)
             break;  // the last point was just quarantined
 
-        // Wake at the nearest backoff expiry or watchdog deadline,
-        // capped so the time-based sweeps above run at a bounded
-        // cadence regardless.
+        // Sleep until a frame arrives, or wake at the nearest watchdog
+        // deadline or backoff expiry, capped so the time-based sweeps
+        // above run at a bounded cadence regardless. A point that is
+        // ready already wakes the loop only if a peer could take it
+        // now: one is idle, or a drop above left a forked fleet room
+        // to spawn. Otherwise it waits for a busy peer's result, which
+        // poll() reports.
+        const bool can_deal =
+            std::any_of(peers.begin(), peers.end(), is_idle) ||
+            (workerCmd != nullptr && peers.size() < fleet);
         long long timeout_ms = 200;
         auto wakeAt = [&](Clock::time_point when) {
             timeout_ms = std::clamp<long long>(
@@ -444,7 +472,8 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                 0, timeout_ms);
         };
         for (const auto &attempt : queue)
-            wakeAt(attempt.readyAt);
+            if (can_deal || attempt.readyAt > now)
+                wakeAt(attempt.readyAt);
         for (const auto &peer : peers)
             if (peer->state == Peer::State::kBusy &&
                 options_.pointTimeoutSec > 0)
@@ -536,6 +565,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     stats.set("sweep.workerCrashes", busy_drops - watchdog_kills);
     stats.set("sweep.watchdogKills", watchdog_kills);
     stats.set("sweep.quarantined", quarantined);
+    stats.set("sweep.coldDeals", cold_deals);
     if (net != nullptr) {
         stats.set("sweep.netJoins", joins);
         stats.set("sweep.netLeaves", leaves);

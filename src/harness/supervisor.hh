@@ -7,7 +7,10 @@
  * `Supervisor` is the one coordinator loop behind both process-boundary
  * executors: a single-threaded poll() over net::FrameChannel peers —
  * forked `--worker` children on socketpairs, or `--connect` workers
- * over TCP — dealt one point at a time. Silent idle peers and (with a
+ * over TCP — dealt one point at a time, workload-affine (pick()): a
+ * peer keeps the workloads whose slice pass and prefix snapshot it
+ * already holds. The loop sleeps in poll() until a frame, a backoff
+ * expiry or a watchdog deadline needs it. Silent idle peers and (with a
  * watchdog) wedged busy ones are dropped, and a lost busy peer's point
  * is retried with jittered exponential backoff. A point that exhausts
  * its retries is *quarantined* — delivered as an
@@ -26,9 +29,13 @@
 #ifndef ACR_HARNESS_SUPERVISOR_HH
 #define ACR_HARNESS_SUPERVISOR_HH
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -94,6 +101,27 @@ class Supervisor
         const GridPoint *point = nullptr;
     };
 
+    using Clock = std::chrono::steady_clock;
+
+    /** One attempt of one task, with its backoff gate. */
+    struct Attempt
+    {
+        Task task;
+        unsigned tries = 0;  ///< failed attempts so far
+        Clock::time_point readyAt;
+    };
+
+    /** A task's (workload, threads): a worker that has run one point of
+     *  it holds that workload's slice pass and prefix snapshot in the
+     *  Runner it keeps for @c threads. */
+    using Affinity = std::pair<std::string, unsigned>;
+
+    static Affinity
+    affinity(const Task &task)
+    {
+        return {task.point->workload, task.point->threads};
+    }
+
     /**
      * Fires once per task, in completion order, with either the
      * decoded worker result or the quarantine placeholder
@@ -114,7 +142,8 @@ class Supervisor
      * status names the failure and no child outlives the sweep.
      * Counters in @p stats: sweep.respawns, sweep.retries,
      * sweep.workerCrashes (busy peers lost), sweep.watchdogKills,
-     * sweep.quarantined.
+     * sweep.quarantined, sweep.coldDeals (points dealt to a peer that
+     * had not run their affinity yet).
      */
     void run(const std::vector<Task> &tasks,
              const std::vector<std::string> &workerCmd,
@@ -127,8 +156,8 @@ class Supervisor
      * completion. Membership is elastic: workers may join late, leave
      * idle, crash busy, or reconnect. Counters in @p stats:
      * sweep.retries, sweep.workerCrashes (busy connections lost),
-     * sweep.watchdogKills, sweep.quarantined, sweep.netJoins,
-     * sweep.netLeaves.
+     * sweep.watchdogKills, sweep.quarantined, sweep.coldDeals,
+     * sweep.netJoins, sweep.netLeaves.
      */
     void run(const std::vector<Task> &tasks, const NetOptions &net,
              const Deliver &deliver, StatSet &stats);
@@ -138,6 +167,19 @@ class Supervisor
      *  kBackoffCapSec, with deterministic jitter in [0.5, 1.5)x.
      *  Exposed for tests. */
     static double backoffSeconds(unsigned tries, std::size_t gridIndex);
+
+    /**
+     * Workload-affine dealing: the attempt in @p queue that an idle peer
+     * which has run the affinities @p warm takes at @p now. That is the
+     * first ready attempt of an affinity in @p warm; else the first
+     * ready one of an affinity no live peer has run (@p claimed); else
+     * the first ready one, a steal, so the end of a sweep still
+     * balances. queue.end() when no attempt is ready. A one-workload
+     * queue is dealt in FIFO order. Exposed for tests.
+     */
+    static std::deque<Attempt>::const_iterator
+    pick(const std::deque<Attempt> &queue, const std::set<Affinity> &warm,
+         const std::set<Affinity> &claimed, Clock::time_point now);
 
   private:
     /** The one coordinator loop behind both run() overloads; exactly

@@ -14,9 +14,10 @@
 #     cross-bench hits from the shared file;
 #   * every corruption mode degrades to recompute, never to a crash or
 #     a wrong table: a flipped byte in one entry's tag and a flipped
-#     digit in another entry's result each miss only that entry, a
-#     torn final line is dropped, and a header carrying a stale wire
-#     version makes the whole file cold.
+#     digit in another entry's result each miss only that entry (and
+#     the open that skipped them rewrites the file, so the next run is
+#     silent and fully served), a torn final line is dropped, and a
+#     header carrying a stale wire version makes the whole file cold.
 #
 # Invoke with
 #   cmake -DBENCH=<path> -DBENCH2=<path> -DWORKLOADS=<a,b>
@@ -65,6 +66,14 @@ function(expect_match file pattern what)
         message(FATAL_ERROR
                 "${what}: '${file}' does not match '${pattern}':\n"
                 "${content}")
+    endif()
+endfunction()
+
+function(expect_no_match file pattern what)
+    file(READ "${file}" content)
+    if(content MATCHES "${pattern}")
+        message(FATAL_ERROR
+                "${what}: '${file}' matches '${pattern}':\n${content}")
     endif()
 endfunction()
 
@@ -179,6 +188,18 @@ expect_match("${OUT}/flip.err" "key does not match"
 read_stats("${OUT}/flip.err" flip)
 expect_stat("${flip_misses}" 2 "flipped-byte misses")
 expect_stat("${flip_inserts}" 2 "flipped-byte re-inserts")
+# That open rewrote the file without the two skipped lines: the next
+# run warns about nothing and is served every point.
+run_case("${BENCH}" "${OUT}/reflip.txt" "${OUT}/reflip.err" 0
+         --jobs=2 "--cache=${CACHE_FILE}")
+expect_identical("${OUT}/reference.txt" "${OUT}/reflip.txt"
+                 "run after the flipped-byte run")
+expect_no_match("${OUT}/reflip.err" "warn:"
+                "run after the flipped-byte run")
+read_stats("${OUT}/reflip.err" reflip)
+expect_stat("${reflip_hits}" "${cold_points}"
+            "hits after the flipped-byte run")
+expect_stat("${reflip_misses}" 0 "misses after the flipped-byte run")
 
 # --- Torn final line: dropped, that entry recomputed ---
 file(READ "${CACHE_FILE}" content)

@@ -470,11 +470,13 @@ TEST_P(BackendConformance, Fig2SuspectSkipInvalidatesTheCheckpoint)
         rig.manager.recover(0, error_time, rig.system.maxCycle());
     EXPECT_EQ(outcome.targetIndex, 1u);
     EXPECT_EQ(rig.system.memory().image(), safe_image);
-    for (const Checkpoint &ckpt : rig.manager.retained())
-        if (ckpt.index == 2)
+    for (const Checkpoint &ckpt : rig.manager.retained()) {
+        if (ckpt.index == 2) {
             EXPECT_EQ(ckpt.validFor & outcome.affected, 0u)
                 << "the skipped suspect checkpoint is no longer a "
                    "valid target for the rolled-back cores";
+        }
+    }
 }
 
 TEST_P(BackendConformance, ReExecutionAfterRollbackReachesGoldenState)
@@ -531,8 +533,9 @@ TEST_P(BackendConformance, FootprintMatchesTheMediumsCostModel)
     } else {
         EXPECT_DOUBLE_EQ(rig.stats.get("nvm.writes"), 0.0);
     }
-    if (GetParam() != Backend::kReplicated)
+    if (GetParam() != Backend::kReplicated) {
         EXPECT_DOUBLE_EQ(rig.stats.get("ckpt.replicaBytes"), 0.0);
+    }
 }
 
 TEST_P(BackendConformance, AmnesicSupportMatchesTheRecoveryPath)

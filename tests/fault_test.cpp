@@ -420,9 +420,10 @@ TEST(StorageFaultPlan, UniformIsSeedDeterministicAndInRange)
         EXPECT_LE(a.events[i].ckptIndex, 5u);
         EXPECT_NE(a.events[i].xorMask, 0u);
         // Ordinals spread monotonically, like FaultPlan's triggers.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a.events[i].ckptIndex,
                       a.events[i - 1].ckptIndex);
+        }
     }
     bool any_diff = false;
     for (std::size_t i = 0; i < a.events.size(); ++i)

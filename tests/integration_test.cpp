@@ -139,8 +139,9 @@ TEST_P(EveryWorkload, AccountingIdentitiesHold)
                   result.stats.get("rec.recomputedWords"),
               0.0);
     // Recomputation implies replayed ALU work.
-    if (result.stats.get("rec.recomputedWords") > 0)
+    if (result.stats.get("rec.recomputedWords") > 0) {
         EXPECT_GT(result.stats.get("acr.replayAluOps"), 0.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, EveryWorkload,

@@ -19,6 +19,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -355,6 +356,111 @@ TEST(ResultCacheTest, FlippedResultDigitIsAMiss)
     std::remove(path.c_str());
 }
 
+/** The cache at @p path holding tinyGrid()'s three points, the first
+ *  with one digit of its result flipped (the open skips that line);
+ *  the file's content. */
+std::string
+writeWithFlippedEntry(const std::string &path)
+{
+    const auto grid = tinyGrid();
+    std::remove(path.c_str());
+    {
+        ResultCache cache;
+        cache.open(path);
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            cache.insert(grid[i], fakeResult(100 * (i + 1)));
+    }
+    auto content = readFile(path);
+    const std::string stored = "\"cycles\":100,";
+    const auto at = content.find(stored);
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos)
+        content.replace(at, stored.size(), "\"cycles\":190,");
+    writeFile(path, content);
+    return content;
+}
+
+/** Lines of @p content. */
+std::size_t
+lineCount(const std::string &content)
+{
+    return static_cast<std::size_t>(
+        std::count(content.begin(), content.end(), '\n'));
+}
+
+TEST(ResultCacheTest, OpenThatSkipsALineCompactsTheFile)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("compact");
+    writeWithFlippedEntry(path);
+
+    {
+        testing::internal::CaptureStderr();
+        ResultCache cache;
+        cache.open(path);
+        const std::string warnings =
+            testing::internal::GetCapturedStderr();
+        EXPECT_NE(warnings.find("skipping unreadable entry 1"),
+                  std::string::npos)
+            << warnings;
+        EXPECT_EQ(cache.size(), 2u);
+        // Rewritten as one header plus the two entries it serves.
+        EXPECT_EQ(lineCount(readFile(path)), 3u);
+        cache.insert(grid[0], fakeResult(100));
+    }
+    // The skipped line is gone, so the next open is silent and serves
+    // every entry, the re-inserted one included.
+    const std::string compacted = readFile(path);
+    testing::internal::CaptureStderr();
+    ResultCache reopened;
+    reopened.open(path);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(reopened.size(), 3u);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const auto *hit = reopened.find(grid[i]);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(dump(*hit), dump(fakeResult(100 * (i + 1))));
+    }
+    EXPECT_EQ(readFile(path), compacted) << "a clean open rewrites nothing";
+    std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, FailedCompactionKeepsTheFile)
+{
+    const auto grid = tinyGrid();
+    const auto path = cachePath("compactfail");
+    const std::string content = writeWithFlippedEntry(path);
+
+    {
+        testing::internal::CaptureStderr();
+        ResultCache cache;
+        cache.failNextWriteForTest();
+        cache.open(path);
+        const std::string warnings =
+            testing::internal::GetCapturedStderr();
+        EXPECT_NE(warnings.find("rewrite failed"), std::string::npos)
+            << warnings;
+        // The old file stays, serves what it served, and still takes
+        // appends.
+        EXPECT_EQ(readFile(path), content);
+        EXPECT_FALSE(cache.degraded());
+        EXPECT_EQ(cache.size(), 2u);
+        cache.insert(grid[0], fakeResult(100));
+        EXPECT_EQ(cache.inserts(), 1u);
+        EXPECT_EQ(lineCount(readFile(path)), 5u);
+    }
+    // The next open skips the line again, and this time compacts.
+    testing::internal::CaptureStderr();
+    ResultCache reopened;
+    reopened.open(path);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "skipping unreadable entry 1"),
+              std::string::npos);
+    EXPECT_EQ(reopened.size(), 3u);
+    EXPECT_EQ(lineCount(readFile(path)), 4u);
+    std::remove(path.c_str());
+}
+
 TEST(ResultCacheTest, ConcatenatedCachesServeEverySegment)
 {
     const auto grid = tinyGrid();
@@ -471,7 +577,7 @@ TEST(ResultCacheTest, RejectedFirstHeaderKeepsLaterSegments)
     }
     // The first file claims a wire version this build does not speak:
     // its entries are not served, but the valid leg after it is, and
-    // no line of either is thrown away.
+    // it is kept whole when the open compacts the file.
     std::string foreign = readFile(first);
     const std::string current =
         "\"wirev\":" + std::to_string(wire::kVersion);
@@ -499,8 +605,8 @@ TEST(ResultCacheTest, RejectedFirstHeaderKeepsLaterSegments)
         // The last segment is served, so a fresh entry lands in it.
         merged.insert(grid[0], fakeResult(100));
     }
-    EXPECT_EQ(readFile(path).rfind(concatenated, 0), 0u)
-        << "the file must keep every line it had";
+    EXPECT_EQ(readFile(path).rfind(readFile(second), 0), 0u)
+        << "the file must keep the valid leg byte for byte";
     ResultCache reopened;
     reopened.open(path);
     EXPECT_EQ(reopened.size(), 2u);

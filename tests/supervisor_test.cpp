@@ -1,8 +1,10 @@
 /**
  * @file
  * Fault-tolerance layer tests (DESIGN.md §10): backoff determinism,
+ * workload-affine dealing (Supervisor::pick on a fig06-shaped grid),
  * the forked fleet against stand-in workers that crash at startup or
- * wedge (one process per attempt, every child reaped), the quarantine
+ * wedge (one process per attempt, every child reaped, the coordinator
+ * asleep while they hold their points), the quarantine
  * placeholder, its FAILED-cell rendering and the wire's refusal to
  * encode it, and the restart journal of a killed sweep — the ResultCache
  * seen by grid index (ResultCache::served): fresh/reload round trips
@@ -15,13 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -108,6 +114,198 @@ TEST(Backoff, DeterministicJitteredAndCapped)
               1.5 * Supervisor::kBackoffCapSec);
 }
 
+/** A fig06-shaped grid: per workload NoCkpt, Ckpt_E, Ckpt_NE,
+ *  ReCkpt_E, ReCkpt_NE (one error in each _E), _E before _NE. */
+std::vector<GridPoint>
+fig06Shaped(const std::vector<std::string> &workloads)
+{
+    std::vector<GridPoint> points;
+    for (const auto &workload : workloads) {
+        for (auto [mode, errors] :
+             {std::pair{BerMode::kNoCkpt, 0u}, {BerMode::kCkpt, 1u},
+              {BerMode::kCkpt, 0u}, {BerMode::kReCkpt, 1u},
+              {BerMode::kReCkpt, 0u}}) {
+            ExperimentConfig config;
+            config.mode = mode;
+            config.numErrors = errors;
+            points.push_back({workload, config, 8});
+        }
+    }
+    return points;
+}
+
+const std::vector<std::string> kEightWorkloads = {
+    "bt", "cg", "dc", "ft", "is", "lu", "mg", "sp"};
+
+/** Every point of @p grid as a ready attempt, in grid order. */
+std::deque<Supervisor::Attempt>
+readyQueue(const std::vector<GridPoint> &grid,
+           Supervisor::Clock::time_point now)
+{
+    std::deque<Supervisor::Attempt> queue;
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        queue.push_back({{i, i, &grid[i]}, 0, now});
+    return queue;
+}
+
+/** Union of the peers' warm sets: what pick() calls claimed. */
+std::set<Supervisor::Affinity>
+claimedBy(const std::vector<std::set<Supervisor::Affinity>> &warm)
+{
+    std::set<Supervisor::Affinity> claimed;
+    for (const auto &peer : warm)
+        claimed.insert(peer.begin(), peer.end());
+    return claimed;
+}
+
+/** One deal of a lockstep simulation. */
+struct Deal
+{
+    std::size_t peer;
+    std::size_t gridIndex;
+    bool cold;  ///< the peer had not run the point's affinity yet
+};
+
+/** Deal all of @p queue to peers that finish in lockstep: each round,
+ *  peer 0, 1, … in turn takes pick()'s choice, as the coordinator's
+ *  deal loop serves its idle peers in order. */
+std::vector<Deal>
+dealLockstep(std::deque<Supervisor::Attempt> queue,
+             std::vector<std::set<Supervisor::Affinity>> &warm,
+             Supervisor::Clock::time_point now)
+{
+    std::vector<Deal> deals;
+    while (!queue.empty()) {
+        for (std::size_t peer = 0; peer < warm.size() && !queue.empty();
+             ++peer) {
+            const auto chosen =
+                Supervisor::pick(queue, warm[peer], claimedBy(warm), now);
+            EXPECT_NE(chosen, queue.end());
+            if (chosen == queue.end())
+                return deals;
+            const bool cold =
+                warm[peer].insert(Supervisor::affinity(chosen->task)).second;
+            deals.push_back({peer, chosen->task.gridIndex, cold});
+            queue.erase(chosen);
+        }
+    }
+    return deals;
+}
+
+TEST(AffineDealing, KeepsAWorkloadAndItsSiblingsOnOnePeer)
+{
+    const auto grid = fig06Shaped(kEightWorkloads);
+    const auto now = Supervisor::Clock::now();
+    std::vector<std::set<Supervisor::Affinity>> warm(3);
+    const auto deals = dealLockstep(readyQueue(grid, now), warm, now);
+    ASSERT_EQ(deals.size(), grid.size());
+
+    // The three first deals open three different workloads.
+    std::set<std::string> first;
+    for (std::size_t i = 0; i < 3; ++i)
+        first.insert(grid[deals[i].gridIndex].workload);
+    EXPECT_EQ(first.size(), 3u);
+
+    std::vector<std::size_t> ranBy(grid.size());
+    std::set<std::size_t> seen;
+    for (const auto &deal : deals) {
+        ranBy[deal.gridIndex] = deal.peer;
+        seen.insert(deal.gridIndex);
+    }
+    EXPECT_EQ(seen.size(), grid.size());
+
+    // Until the last workload is claimed, every workload stays on the
+    // peer that opened it, so each _NE runs where its _E captured its
+    // prefix. The end of the sweep balances by stealing: peers with
+    // nothing of their own left take points of the last two workloads,
+    // which splits three of their four pairs in this lockstep.
+    std::size_t kept = 0;
+    for (std::size_t w = 0; w < kEightWorkloads.size(); ++w) {
+        const std::size_t base = 5 * w;
+        for (const std::size_t e : {base + 1, base + 3}) {
+            kept += ranBy[e] == ranBy[e + 1] ? 1 : 0;
+            if (w < 6) {
+                EXPECT_EQ(ranBy[e], ranBy[e + 1])
+                    << grid[e].workload << " point " << e;
+                EXPECT_EQ(ranBy[base], ranBy[e]) << grid[e].workload;
+            }
+        }
+    }
+    EXPECT_EQ(kept, 13u);
+
+    // One cold deal per workload, plus the three steals.
+    std::size_t cold = 0;
+    for (const auto &deal : deals)
+        cold += deal.cold ? 1 : 0;
+    EXPECT_EQ(cold, 11u);
+}
+
+TEST(AffineDealing, NeverPicksAnAttemptWaitingOutItsBackoff)
+{
+    const auto grid = fig06Shaped({"bt", "cg"});
+    const auto now = Supervisor::Clock::now();
+    auto queue = readyQueue(grid, now);
+    const std::set<Supervisor::Affinity> warm = {
+        Supervisor::affinity(queue[0].task)};
+
+    // The peer's own workload is backing off: it steals cg instead of
+    // waiting, and never takes a bt point early.
+    for (std::size_t i = 0; i < 5; ++i)
+        queue[i].readyAt = now + std::chrono::seconds(1);
+    auto chosen = Supervisor::pick(queue, warm, warm, now);
+    ASSERT_NE(chosen, queue.end());
+    EXPECT_EQ(chosen->task.gridIndex, 5u);
+
+    // Nothing ready: nothing is picked.
+    for (auto &attempt : queue)
+        attempt.readyAt = now + std::chrono::milliseconds(50);
+    EXPECT_EQ(Supervisor::pick(queue, warm, warm, now), queue.end());
+    EXPECT_EQ(Supervisor::pick(queue, {}, {}, now), queue.end());
+
+    // Once its backoff expires, the attempt is the peer's first pick.
+    queue[2].readyAt = now;
+    queue[7].readyAt = now;
+    chosen = Supervisor::pick(queue, warm, warm, now);
+    ASSERT_NE(chosen, queue.end());
+    EXPECT_EQ(chosen->task.gridIndex, 2u);
+}
+
+TEST(AffineDealing, RespawnedPeerTakesAnUnclaimedWorkloadFirst)
+{
+    const auto grid = fig06Shaped({"bt", "cg", "dc"});
+    const auto now = Supervisor::Clock::now();
+    auto queue = readyQueue(grid, now);
+    // Peer 0 holds bt; the peer that held cg died, so only bt is
+    // claimed. A fresh peer skips the bt points at the head of the
+    // queue and takes cg, the first unclaimed workload.
+    const std::set<Supervisor::Affinity> claimed = {
+        Supervisor::affinity(queue[0].task)};
+    auto chosen = Supervisor::pick(queue, {}, claimed, now);
+    ASSERT_NE(chosen, queue.end());
+    EXPECT_EQ(chosen->task.gridIndex, 5u);
+
+    // With every workload claimed, it steals the queue's head.
+    std::set<Supervisor::Affinity> all;
+    for (const auto &attempt : queue)
+        all.insert(Supervisor::affinity(attempt.task));
+    chosen = Supervisor::pick(queue, {}, all, now);
+    ASSERT_NE(chosen, queue.end());
+    EXPECT_EQ(chosen->task.gridIndex, 0u);
+}
+
+TEST(AffineDealing, OneWorkloadIsDealtInFifoOrder)
+{
+    const auto grid = fig06Shaped({"is"});
+    const auto now = Supervisor::Clock::now();
+    std::vector<std::set<Supervisor::Affinity>> warm(3);
+    const auto deals = dealLockstep(readyQueue(grid, now), warm, now);
+    ASSERT_EQ(deals.size(), grid.size());
+    for (std::size_t i = 0; i < deals.size(); ++i) {
+        EXPECT_EQ(deals[i].gridIndex, i);
+        EXPECT_EQ(deals[i].peer, i % 3);
+    }
+}
+
 /** The first two tinyGrid() points, forked to @p workerCmd stand-ins
  *  under @p controls. */
 std::vector<ExperimentResult>
@@ -171,6 +369,50 @@ TEST(ForkedFleet, WatchdogKillsAndReapsWedgedWorkers)
     errno = 0;
     EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD);
+}
+
+/** CPU seconds the calling thread has used. */
+double
+threadCpuSeconds()
+{
+    struct rusage usage{};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    return static_cast<double>(usage.ru_utime.tv_sec +
+                               usage.ru_stime.tv_sec) +
+           static_cast<double>(usage.ru_utime.tv_usec +
+                               usage.ru_stime.tv_usec) *
+               1e-6;
+}
+
+TEST(ForkedFleet, CoordinatorSleepsWhileEveryWorkerIsBusy)
+{
+    // One forked worker that never answers holds each point until the
+    // watchdog kills it, while the other points wait. The coordinator
+    // must sleep in poll() until the deadline rather than spin, and
+    // deal the next point at once after each kill: three 0.5 s
+    // watchdog periods back to back.
+    ShardedSweep::SweepControls controls;
+    controls.supervise.retries = 0;
+    controls.supervise.pointTimeoutSec = 0.5;
+    RunnerPool pool;
+    ShardedSweep sweep(pool, 1);
+    const double cpu_start = threadCpuSeconds();
+    const auto wall_start = std::chrono::steady_clock::now();
+    const auto results =
+        sweep.runForked(tinyGrid(), 1, {"/bin/sleep", "30"}, {}, controls);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+    const double cpu = threadCpuSeconds() - cpu_start;
+
+    ASSERT_EQ(results.size(), 3u);
+    for (const auto &result : results)
+        EXPECT_TRUE(result.failed);
+    EXPECT_EQ(sweep.hostStats().get("sweep.watchdogKills"), 3.0);
+    // Each point went to a fresh worker.
+    EXPECT_EQ(sweep.hostStats().get("sweep.coldDeals"), 3.0);
+    EXPECT_LT(cpu, 0.1);
+    EXPECT_NEAR(wall, 1.5, 0.3);
 }
 
 TEST(QuarantinedResult, PoisonsEveryDerivedMetric)
