@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "slice/engine.hh"
+#include "slice/relevance.hh"
 #include "slice/repository.hh"
 #include "sim/system.hh"
 
@@ -11,14 +12,19 @@ namespace acr::amnesic
 namespace
 {
 
-/** Pin-tool-style instrumentation callback. */
+/**
+ * Pin-tool-style instrumentation callback. Every store is a candidate,
+ * so the slicer observes every result that can reach a store's value.
+ */
 class PassObserver final : public cpu::ExecObserver
 {
   public:
-    PassObserver(slice::SliceEngine &slicer, std::size_t program_size,
+    PassObserver(slice::SliceEngine &slicer, const isa::Program &program,
                  std::uint64_t memory_digest)
-        : slicer_(slicer), hintedPcs_(program_size, 0),
-          memoryDigest_(memory_digest)
+        : slicer_(slicer),
+          relevant_(slice::relevantPcs(program,
+                                       slice::BuildingStores::kEvery)),
+          hintedPcs_(program.size(), 0), memoryDigest_(memory_digest)
     {
     }
 
@@ -38,7 +44,8 @@ class PassObserver final : public cpu::ExecObserver
             }
             return;
         }
-        slicer_.observe(event);
+        if (relevant_[event.pc])
+            slicer_.observe(event);
     }
 
     bool
@@ -53,6 +60,8 @@ class PassObserver final : public cpu::ExecObserver
 
   private:
     slice::SliceEngine &slicer_;
+    /** Per-pc slicer relevance (slice/relevance.hh). */
+    std::vector<std::uint8_t> relevant_;
     /** Per-pc hint flags, indexed by static pc (dense, hot). */
     std::vector<std::uint8_t> hintedPcs_;
     slice::SliceRepository repo_;
@@ -71,8 +80,7 @@ SlicePass::run(const isa::Program &program,
 {
     sim::MulticoreSystem system(machine, program);
     slice::SliceEngine slicer(machine.numCores, policy);
-    PassObserver observer(slicer, program.size(),
-                          system.memory().digest());
+    PassObserver observer(slicer, program, system.memory().digest());
     SlicePassResult result;
     auto record = [&] {
         result.goldenTrack.push_back({system.progress(),

@@ -248,11 +248,9 @@ CheckpointManager::applyLog(const IntervalLog &log,
             state.dramDone =
                 std::max(state.dramDone,
                          store_->writeRecomputed(record, issue_at));
-            stats_.add("acr.replayAluOps",
-                       static_cast<double>(cost.aluOps));
-            stats_.add("acr.operandBufferWords",
-                       static_cast<double>(cost.operandReads));
-            stats_.add("rec.recomputedWords");
+            state.replayAluOps += cost.aluOps;
+            state.operandReads += cost.operandReads;
+            ++state.recomputedWords;
         } else {
             MediumRead read = store_->restoreWordChecked(
                 record, log.interval(), issue_at, 0);
@@ -293,11 +291,28 @@ CheckpointManager::applyLog(const IntervalLog &log,
             // replica) or the rollback dies above.
             system_.memory().write(record.addr, record.oldValue);
             state.dramDone = std::max(state.dramDone, done);
-            stats_.add("rec.restoredWords");
+            ++state.restoredWords;
         }
         state.restored.push_back(record.addr);
     }
     return true;
+}
+
+void
+CheckpointManager::addWordCounts(const ApplyState &state)
+{
+    // A name appears only once some word has touched it.
+    if (state.recomputedWords > 0) {
+        stats_.add("acr.replayAluOps",
+                   static_cast<double>(state.replayAluOps));
+        stats_.add("acr.operandBufferWords",
+                   static_cast<double>(state.operandReads));
+        stats_.add("rec.recomputedWords",
+                   static_cast<double>(state.recomputedWords));
+    }
+    if (state.restoredWords > 0)
+        stats_.add("rec.restoredWords",
+                   static_cast<double>(state.restoredWords));
 }
 
 RecoveryOutcome
@@ -348,6 +363,7 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
         // Every escalation rung failed (DESIGN.md §16). The machine
         // state is undefined; the driver must surface a structured
         // failure — never resume, never serve the half-rolled image.
+        addWordCounts(state);
         stats_.add("rec.unrecoverable");
         RecoveryOutcome outcome;
         outcome.affected = affected;
@@ -516,6 +532,7 @@ CheckpointManager::recover(CoreId failing, Cycle error_time,
     if (provider_)
         provider_->onRollback(state.restored);
 
+    addWordCounts(state);
     stats_.add("rec.recoveries");
     stats_.add("rec.wasteCycles",
                static_cast<double>(detection_time -

@@ -175,10 +175,11 @@ class CheckpointManager
     /** Establishment work for one coordination group. */
     void establishGroup(cache::SharerMask group, IntervalSizes &sizes);
 
-    /** Mutable bookkeeping of one rollback attempt. dramDone and
-     *  replayCycles carry over between escalation attempts (work done
-     *  before a retarget really happened); restored is per-attempt
-     *  (the final attempt's applies supersede earlier ones). */
+    /** Mutable bookkeeping of one rollback attempt. dramDone,
+     *  replayCycles and the word counts carry over between escalation
+     *  attempts (work done before a retarget really happened); restored
+     *  is per-attempt (the final attempt's applies supersede earlier
+     *  ones). */
     struct ApplyState
     {
         Cycle dramDone = 0;
@@ -190,7 +191,17 @@ class CheckpointManager
          *  every older target applies a superset of records). */
         bool dead = false;
         std::string deadDetail;
+        /** Per-word work, published once per recovery by
+         *  addWordCounts() instead of one string-keyed add per word. */
+        std::uint64_t restoredWords = 0;
+        std::uint64_t recomputedWords = 0;
+        std::uint64_t replayAluOps = 0;
+        std::uint64_t operandReads = 0;
     };
+
+    /** Add @p state's word counts to the stats. Exact: the sums are
+     *  integral. */
+    void addWordCounts(const ApplyState &state);
 
     /** Apply one log's records (filtered by @p mask) to memory,
      *  recomputing amnesic ones and integrity-checking stored reads;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "acr/acr_engine.hh"
 #include "common/logging.hh"
@@ -11,6 +12,7 @@
 #include "fault/storage_fault.hh"
 #include "sim/system.hh"
 #include "slice/engine.hh"
+#include "slice/relevance.hh"
 #include "validate/recovery_oracle.hh"
 
 namespace acr::harness
@@ -24,10 +26,16 @@ namespace
 class DriverObserver final : public cpu::ExecObserver
 {
   public:
+    /** @p slicer, when given, observes only the results that can reach
+     *  a hinted store of @p program, the only stores that build. */
     DriverObserver(ckpt::CheckpointManager &manager,
-                   amnesic::AcrEngine *acr, slice::SliceEngine *slicer)
+                   amnesic::AcrEngine *acr, slice::SliceEngine *slicer,
+                   const isa::Program &program)
         : manager_(manager), acr_(acr), slicer_(slicer)
     {
+        if (slicer_)
+            relevant_ = slice::relevantPcs(program,
+                                           slice::BuildingStores::kHinted);
     }
 
     void
@@ -42,7 +50,7 @@ class DriverObserver final : public cpu::ExecObserver
                 acr_->onStoreRetired(event);
             return;
         }
-        if (slicer_)
+        if (slicer_ && relevant_[event.pc])
             slicer_->observe(event);
     }
 
@@ -50,6 +58,8 @@ class DriverObserver final : public cpu::ExecObserver
     ckpt::CheckpointManager &manager_;
     amnesic::AcrEngine *acr_;
     slice::SliceEngine *slicer_;
+    /** Per-pc slicer relevance (slice/relevance.hh). */
+    std::vector<std::uint8_t> relevant_;
 };
 
 } // namespace
@@ -159,7 +169,7 @@ BerRuntime::run(const isa::Program &program,
         injector = std::make_unique<fault::ErrorInjector>(plan, stats);
     }
 
-    DriverObserver observer(manager, acr.get(), slicer.get());
+    DriverObserver observer(manager, acr.get(), slicer.get(), program);
 
     // No rollback target could be restored (storage faults defeated
     // every escalation rung, or none was safe): the modeled machine is

@@ -10,7 +10,9 @@
  * leaves whose *values* are captured. When a store executes, the engine
  * linearizes the DAG behind the stored value into a StaticSlice (arith
  * ops only) plus captured input operands — or reports that no admissible
- * Slice exists.
+ * Slice exists. Its callers feed it only the instructions whose results
+ * can reach a building store (slice/relevance.hh): on the 8 kernels, 21%
+ * of a ReCkpt run's retired instructions and 70% of the slice pass's.
  *
  * Hot-path layout (DESIGN.md §13): a node exists only for a value that
  * an accepted Slice can contain. Each register slot carries its
@@ -92,11 +94,12 @@ class SliceEngine
     SliceEngine &operator=(const SliceEngine &) = default;
 
     /**
-     * Feed one retired instruction (call for every instruction).
-     * Defined inline below: with the observer devirtualized into the
-     * core's dispatch loop, this is the hottest function in the
-     * simulator, and keeping it in the header lets the whole
-     * alloc/retain/release path fold into the caller.
+     * Feed one retired instruction. A caller may skip the instructions
+     * whose results no build can read (slice/relevance.hh) and must
+     * feed every other one, in retirement order. Defined inline below:
+     * the observer is devirtualized into the core's dispatch loop, and
+     * keeping this in the header lets the whole alloc/retain/release
+     * path fold into the caller.
      */
     void observe(const cpu::InstrEvent &event);
 

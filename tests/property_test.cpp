@@ -14,6 +14,7 @@
 #include "acr/slice_pass.hh"
 #include "common/rng.hh"
 #include "harness/ber_runtime.hh"
+#include "random_kernel.hh"
 #include "workloads/kernel_spec.hh"
 
 namespace acr::harness
@@ -28,37 +29,7 @@ class RandomizedAcrRuns : public testing::TestWithParam<std::uint64_t>
 TEST_P(RandomizedAcrRuns, RecoveryIsAlwaysTransparent)
 {
     Rng rng(GetParam());
-
-    // Random kernel shape.
-    workloads::KernelSpec spec;
-    spec.name = "fuzz";
-    spec.outerIters = 4 + static_cast<unsigned>(rng.below(6));
-    unsigned phases = 1 + static_cast<unsigned>(rng.below(3));
-    for (unsigned p = 0; p < phases; ++p) {
-        workloads::PhaseSpec phase;
-        phase.cells = 8 + static_cast<unsigned>(rng.below(40));
-        phase.chainLen = 1 + static_cast<unsigned>(rng.below(45));
-        spec.phases.push_back(phase);
-    }
-    spec.reps = 1 + static_cast<unsigned>(rng.below(2));
-    spec.histogram = rng.chance(0.3);
-    if (rng.chance(0.4))
-        spec.burst = {32 + static_cast<unsigned>(rng.below(64)),
-                      1 + static_cast<unsigned>(rng.below(60))};
-    switch (rng.below(5)) {
-      case 0: spec.comm = workloads::Comm::kNone; break;
-      case 1: spec.comm = workloads::Comm::kPair; break;
-      case 2: spec.comm = workloads::Comm::kQuad; break;
-      case 3: spec.comm = workloads::Comm::kRing; break;
-      default: spec.comm = workloads::Comm::kAllToAll; break;
-    }
-    spec.commPeriod = 1u << rng.below(3);
-
-    unsigned threads = 2u << rng.below(2);  // 2 or 4
-    workloads::WorkloadParams params;
-    params.threads = threads;
-    params.seed = rng.next();
-    isa::Program program = workloads::buildKernel(spec, params);
+    auto [program, threads] = testsupport::randomKernel(rng);
     ASSERT_EQ(program.validate(), "");
 
     auto machine = sim::MachineConfig::tableI(threads);
