@@ -77,27 +77,6 @@ parseStrictDouble(const std::string &text, double &out)
     return true;
 }
 
-bool
-parseHostPort(const std::string &spec, std::string &host,
-              std::uint16_t &port, bool allow_zero_port)
-{
-    // Split at the last colon so a future bracketed-IPv6 host with
-    // embedded colons fails loudly rather than parsing a piece of the
-    // address as the port.
-    const auto colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == spec.size())
-        return false;
-    unsigned long long parsed = 0;
-    if (!parseStrictUint(spec.substr(colon + 1), parsed))
-        return false;
-    if (parsed > 65535 || (parsed == 0 && !allow_zero_port))
-        return false;
-    host = spec.substr(0, colon);
-    port = static_cast<std::uint16_t>(parsed);
-    return true;
-}
-
 std::vector<std::string>
 splitCommaList(const std::string &text)
 {

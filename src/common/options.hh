@@ -8,7 +8,6 @@
 #ifndef ACR_COMMON_OPTIONS_HH
 #define ACR_COMMON_OPTIONS_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,20 +26,6 @@ namespace acr
 bool parseStrictInt(const std::string &text, long long &out);
 bool parseStrictUint(const std::string &text, unsigned long long &out);
 bool parseStrictDouble(const std::string &text, double &out);
-
-/**
- * Strict "HOST:PORT" parse shared by the distributed-sweep endpoints
- * (--listen, --connect, ACR_CONNECT): the split is at the *last*
- * colon, the host must be nonempty, and the port goes through
- * parseStrictUint — so "host:80x", "host: 80", "host:+80", and a bare
- * "host" all return false instead of silently truncating. The port
- * must fit [0, 65535]; 0 is accepted only with @p allow_zero_port
- * (the listen side's "pick a free port" wildcard — a connect target
- * of port 0 is always a mistake). Callers name the flag in their own
- * error message.
- */
-bool parseHostPort(const std::string &spec, std::string &host,
-                   std::uint16_t &port, bool allow_zero_port);
 
 /** The nonempty pieces of a comma-separated list flag ("a,,b," gives
  *  a and b; "" gives none). */

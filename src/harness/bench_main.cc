@@ -58,20 +58,6 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     parser.addFlag("worker",
                    "wire-protocol worker: read point frames on stdin, "
                    "write result frames to stdout (used by --forks)");
-    parser.addString("listen", "",
-                     "distributed coordinator: accept TCP --connect "
-                     "workers on HOST:PORT (port 0: kernel-picked, "
-                     "announced on stderr) and deal grid points to "
-                     "them");
-    parser.addString("connect", "",
-                     "distributed worker: dial a --listen coordinator "
-                     "at HOST:PORT and run dealt points (default: "
-                     "$ACR_CONNECT)");
-    parser.envDefault("connect", "ACR_CONNECT");
-    parser.addUint("heartbeat", 5,
-                   "keepalive cadence in seconds for --forks and "
-                   "--listen workers (idle timeout 4x; --listen join "
-                   "grace 8x, --connect reconnect window 10x)");
     parser.addString("format", "table",
                      "output format: table, csv, or json");
     parser.addString("workloads", "",
@@ -84,8 +70,7 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
     parser.envDefault("backend", "ACR_BACKEND");
     parser.addInt("retries", 2,
                   "retry a failed point this many times on fresh "
-                  "workers before quarantining it (--forks and "
-                  "--listen)");
+                  "workers before quarantining it (--forks)");
     parser.addDouble("point-timeout", 0.0,
                      "per-point watchdog in seconds: SIGKILL and retry "
                      "a worker wedged longer than this (0: off)");
@@ -117,24 +102,6 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
         options.shard = ShardedSweep::parseShard(shard);
     }
     options.workerMode = parser.getFlag("worker");
-    const std::string listen = parser.getString("listen");
-    if (!listen.empty()) {
-        options.listenMode = true;
-        // Port 0 asks the kernel for a free port (the bound endpoint
-        // is announced on stderr); --connect needs a real one.
-        options.listen = net::parseEndpoint(listen, "--listen", true);
-    }
-    const std::string connect = parser.getString("connect");
-    if (!connect.empty()) {
-        options.connectMode = true;
-        options.connect =
-            net::parseEndpoint(connect, "--connect", false);
-    }
-    const unsigned long long heartbeat = parser.getUint("heartbeat");
-    if (heartbeat < 1 || heartbeat > 3600)
-        fatal("--heartbeat must be in [1, 3600] seconds, got %llu",
-              heartbeat);
-    options.heartbeatSec = static_cast<unsigned>(heartbeat);
     options.format = parseTableFormat(parser.getString("format"));
     options.workloads =
         resolveWorkloads(parser.getString("workloads"), spec);
@@ -158,28 +125,13 @@ parseOptions(int argc, const char *const *argv, const BenchSpec &spec)
 
     if (options.workerMode && options.shardMode)
         fatal("--worker does not combine with --shard");
-    if (options.listenMode && options.connectMode)
-        fatal("--listen and --connect are mutually exclusive (one "
-              "process is either the coordinator or a worker)");
-    if (options.listenMode &&
-        (options.workerMode || options.shardMode || options.forks > 0))
-        fatal("--listen does not combine with --worker/--shard/--forks");
-    if (options.connectMode &&
-        (options.workerMode || options.shardMode || options.forks > 0))
-        fatal("--connect does not combine with "
-              "--worker/--shard/--forks");
-    if (options.connectMode && !options.cachePath.empty())
-        fatal("--cache is coordinator-side; it does not combine with "
-              "--connect");
     if (options.workerMode && !options.cachePath.empty())
         fatal("--cache only applies when this invocation sweeps (not "
               "--worker)");
     // ACR_CACHE is only a default for sweeping invocations: forked
-    // --worker children and TCP --connect workers inherit the
-    // environment, but lookups are coordinator-side by design (cached
-    // points are never dealt out).
-    if (options.cachePath.empty() && !options.workerMode &&
-        !options.connectMode)
+    // --worker children inherit the environment, but lookups are
+    // coordinator-side by design (cached points are never dealt out).
+    if (options.cachePath.empty() && !options.workerMode)
         if (const char *env = std::getenv("ACR_CACHE"))
             options.cachePath = env;
     if (options.shardMode && options.cachePath.empty())
@@ -270,23 +222,15 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     ACR_ASSERT(!grid.empty(), "bench grid is empty");
 
     // --backend rewrites the grid before anything derives from it
-    // (gridHash, cache keys), so every mode — jobs, forks, listen,
-    // shard — agrees on the same points and the ResultCache
-    // distinguishes backends by content. NoCkpt points
+    // (cache keys), so every mode — jobs, forks, shard — agrees on
+    // the same points and the ResultCache distinguishes backends by
+    // content. NoCkpt points
     // keep the default: they store nothing, and validate() rejects a
     // non-log backend on them.
     if (options.backendOverride)
         for (GridPoint &point : grid)
             if (point.config.mode != BerMode::kNoCkpt)
                 point.config.backend = options.backend;
-
-    // The TCP worker enumerates the same grid (same binary, flags,
-    // and environment) so its handshake hash proves it will simulate
-    // exactly the points the coordinator deals.
-    if (options.connectMode)
-        return ShardedSweep::netWorkerLoop(pool, spec.name, grid,
-                                           options.connect,
-                                           options.heartbeatSec);
 
     ShardedSweep sweep(pool, options.jobs);
     const std::vector<std::string> worker_cmd = {
@@ -316,7 +260,6 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
     ShardedSweep::SweepControls controls;
     controls.supervise.retries = options.retries;
     controls.supervise.pointTimeoutSec = options.pointTimeout;
-    controls.supervise.heartbeatSec = options.heartbeatSec;
 
     // Coordinator-side serving map, by grid index: the owned points
     // the cache holds by content. It feeds SweepControls::cache, so a
@@ -337,15 +280,10 @@ benchMain(int argc, const char *const *argv, const BenchSpec &spec)
         };
     }
 
-    std::vector<ExperimentResult> results;
-    if (options.listenMode)
-        results = sweep.runDistributed(grid, options.listen,
-                                       spec.name, controls);
-    else if (options.forks > 0)
-        results = sweep.runForked(grid, options.forks, worker_cmd,
-                                  shard, controls);
-    else
-        results = sweep.run(grid, shard, controls);
+    const std::vector<ExperimentResult> results =
+        options.forks > 0 ? sweep.runForked(grid, options.forks,
+                                            worker_cmd, shard, controls)
+                          : sweep.run(grid, shard, controls);
     sweep.reportTiming(std::cerr);
     if (cache.isOpen())
         std::cerr << "[sweep] cache: " << cache.hits() << " hit(s), "

@@ -17,18 +17,6 @@
  *   --worker        wire-protocol worker (point frames on stdin,
  *                   result frames on stdout — one socketpair end);
  *                   used by --forks
- *   --listen=H:P    distributed coordinator: accept TCP `--connect`
- *                   workers on HOST:PORT (port 0: kernel-picked,
- *                   announced on stderr) and deal grid points to the
- *                   elastic fleet (DESIGN.md §15)
- *   --connect=H:P   distributed worker: dial a --listen coordinator,
- *                   handshake (bench + grid + protocol version), run
- *                   dealt points, reconnect on connection loss
- *                   (default $ACR_CONNECT)
- *   --heartbeat=S   keepalive cadence in seconds for --forks and
- *                   --listen workers (idle peers time out at 4x; the
- *                   empty --listen fleet's join grace is 8x, the
- *                   --connect reconnect window 10x)
  *   --format=F      table | csv | json rendering
  *   --workloads=a,b restrict the workload axis
  *   --backend=B     override the checkpoint store backend (log |
@@ -39,8 +27,7 @@
  * Fault tolerance (DESIGN.md §10):
  *
  *   --retries=N       retry a failed point N times on fresh workers
- *                     before quarantining it (--forks and --listen;
- *                     default 2)
+ *                     before quarantining it (--forks; default 2)
  *   --point-timeout=S per-point wall-clock watchdog: SIGKILL + retry
  *                     a worker wedged longer than S seconds (0: off)
  *   --cache=FILE      content-addressed cross-bench result cache
@@ -57,12 +44,11 @@
  *                     to stderr.
  *
  * Determinism contract: for a fixed grid, the rendered output of
- * `--jobs=1`, `--jobs=N`, `--forks=N`, `--listen` (any TCP fleet,
- * however it churned), and `--cache` over the concatenated cache
- * files of `--shard` legs is byte-identical (host timing goes to
- * stderr) — including when points were retried after worker crashes,
- * transport faults, or disconnections, or served from the
- * content-addressed result cache.
+ * `--jobs=1`, `--jobs=N`, `--forks=N`, and `--cache` over the
+ * concatenated cache files of `--shard` legs is byte-identical (host
+ * timing goes to stderr) — including when points were retried after
+ * worker crashes, served from the content-addressed result cache, or
+ * missing from a lost leg's file and simulated at render.
  *
  * Verdicts: benchMain alone maps results to the exit code, in every
  * mode that runs points (a `--shard` leg included), with one `[sweep]`
@@ -96,11 +82,6 @@ struct BenchOptions
     ShardedSweep::Shard shard{};
     bool shardMode = false;   ///< --shard given: fill --cache, no render
     bool workerMode = false;  ///< --worker
-    bool listenMode = false;  ///< --listen given: TCP coordinator
-    net::Endpoint listen;     ///< parsed --listen endpoint
-    bool connectMode = false;  ///< --connect given: TCP worker
-    net::Endpoint connect;     ///< parsed --connect endpoint
-    unsigned heartbeatSec = 5;  ///< --heartbeat (forked and TCP)
     TableFormat format = TableFormat::kTable;
     std::vector<std::string> workloads;  ///< resolved selection
 
@@ -109,7 +90,7 @@ struct BenchOptions
     bool backendOverride = false;
     ckpt::Backend backend = ckpt::Backend::kLog;
 
-    unsigned retries = 2;       ///< --retries (forked and TCP)
+    unsigned retries = 2;       ///< --retries (forked)
     double pointTimeout = 0.0;  ///< --point-timeout seconds (0: off)
     std::string cachePath;      ///< --cache / $ACR_CACHE ("" : none)
 };
@@ -162,7 +143,7 @@ class BenchContext
 /** A bench binary, declaratively. */
 struct BenchSpec
 {
-    /** Program name (usage text, the --listen handshake). */
+    /** Program name (usage text). */
     std::string name;
 
     /** Workload axis when --workloads is absent; empty means every

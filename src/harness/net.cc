@@ -1,63 +1,16 @@
 #include "harness/net.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "common/logging.hh"
-#include "common/options.hh"
 
 namespace acr::harness::net
 {
-
-namespace
-{
-
-void
-setNodelay(int fd)
-{
-    // Point/result lines are single small frames on a lockstep
-    // request/reply path; Nagle would serialize the whole sweep on
-    // delayed ACKs.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/** getaddrinfo for one IPv4 stream endpoint; fatal() via @p what on
- *  resolution failure. Caller frees with freeaddrinfo. */
-addrinfo *
-resolve(const Endpoint &endpoint, bool passive, const char *what)
-{
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_NUMERICSERV | (passive ? AI_PASSIVE : 0);
-    addrinfo *info = nullptr;
-    const std::string service = std::to_string(endpoint.port);
-    const int rc = ::getaddrinfo(endpoint.host.c_str(),
-                                 service.c_str(), &hints, &info);
-    if (rc != 0)
-        fatal("%s: cannot resolve '%s': %s", what,
-              endpoint.describe().c_str(), ::gai_strerror(rc));
-    return info;
-}
-
-} // namespace
-
-std::string
-Endpoint::describe() const
-{
-    return host + ":" + std::to_string(port);
-}
 
 std::string
 encodeFrame(FrameType type, const std::string &payload)
@@ -109,145 +62,9 @@ setNonblocking(int fd)
         fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
 }
 
-Endpoint
-parseEndpoint(const std::string &spec, const char *flag,
-              bool allow_port_zero)
-{
-    Endpoint endpoint;
-    if (!parseHostPort(spec, endpoint.host, endpoint.port,
-                       allow_port_zero))
-        fatal("bad %s '%s' (want HOST:PORT with a port in [%d, 65535])",
-              flag, spec.c_str(), allow_port_zero ? 0 : 1);
-    return endpoint;
-}
-
-int
-listenOn(const Endpoint &endpoint, Endpoint &bound)
-{
-    addrinfo *info = resolve(endpoint, true, "--listen");
-    const int fd = ::socket(info->ai_family, info->ai_socktype, 0);
-    if (fd < 0)
-        fatal("socket: %s", std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, info->ai_addr, info->ai_addrlen) != 0)
-        fatal("bind %s: %s", endpoint.describe().c_str(),
-              std::strerror(errno));
-    ::freeaddrinfo(info);
-    if (::listen(fd, 64) != 0)
-        fatal("listen %s: %s", endpoint.describe().c_str(),
-              std::strerror(errno));
-
-    sockaddr_in actual{};
-    socklen_t length = sizeof(actual);
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&actual),
-                      &length) != 0)
-        fatal("getsockname: %s", std::strerror(errno));
-    char text[INET_ADDRSTRLEN] = "?";
-    ::inet_ntop(AF_INET, &actual.sin_addr, text, sizeof(text));
-    bound.host = text;
-    bound.port = ntohs(actual.sin_port);
-
-    setNonblocking(fd);
-    return fd;
-}
-
-int
-acceptOnce(int listen_fd)
-{
-    while (true) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0) {
-            setNonblocking(fd);
-            setNodelay(fd);
-            return fd;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return -1;
-        if (errno != EINTR)
-            fatal("accept: %s", std::strerror(errno));
-    }
-}
-
-int
-connectOnce(const Endpoint &endpoint, std::string &error)
-{
-    addrinfo *info = resolve(endpoint, false, "--connect");
-    const int fd = ::socket(info->ai_family, info->ai_socktype, 0);
-    if (fd < 0)
-        fatal("socket: %s", std::strerror(errno));
-    int rc;
-    do {
-        rc = ::connect(fd, info->ai_addr, info->ai_addrlen);
-    } while (rc != 0 && errno == EINTR);
-    ::freeaddrinfo(info);
-    if (rc != 0) {
-        error = std::strerror(errno);
-        ::close(fd);
-        return -1;
-    }
-    setNonblocking(fd);
-    setNodelay(fd);
-    return fd;
-}
-
-// --- FaultPlan ---
-
-FaultPlan
-FaultPlan::parse(const std::string &spec)
-{
-    const auto fail = [&spec]() -> FaultPlan {
-        fatal("ACR_NET_FAULT='%s' is not a known fault (want "
-              "drop-after=N, torn=N, stall=N:SECS, or garble=N)",
-              spec.c_str());
-    };
-
-    const auto equals = spec.find('=');
-    if (equals == std::string::npos)
-        return fail();
-    const std::string kind = spec.substr(0, equals);
-    const std::string arg = spec.substr(equals + 1);
-
-    FaultPlan plan;
-    std::string ordinal = arg;
-    if (kind == "drop-after") {
-        plan.kind = Kind::kDropAfter;
-    } else if (kind == "torn") {
-        plan.kind = Kind::kTorn;
-    } else if (kind == "garble") {
-        plan.kind = Kind::kGarble;
-    } else if (kind == "stall") {
-        const auto colon = arg.find(':');
-        if (colon == std::string::npos)
-            return fail();
-        plan.kind = Kind::kStall;
-        ordinal = arg.substr(0, colon);
-        if (!parseStrictDouble(arg.substr(colon + 1), plan.stallSec) ||
-            plan.stallSec < 0)
-            return fail();
-    } else {
-        return fail();
-    }
-    unsigned long long frame = 0;
-    if (!parseStrictUint(ordinal, frame) || frame == 0)
-        return fail();
-    plan.frame = frame;
-    return plan;
-}
-
-FaultPlan
-FaultPlan::fromEnv()
-{
-    const char *spec = std::getenv("ACR_NET_FAULT");
-    if (spec == nullptr || *spec == '\0')
-        return FaultPlan{};
-    return parse(spec);
-}
-
 // --- FrameChannel ---
 
-FrameChannel::FrameChannel(int fd, FaultPlan *fault)
-    : fd_(fd), fault_(fault)
+FrameChannel::FrameChannel(int fd) : fd_(fd)
 {
     ACR_ASSERT(fd >= 0, "FrameChannel needs a connected fd");
 }
@@ -260,37 +77,8 @@ FrameChannel::~FrameChannel()
 void
 FrameChannel::send(FrameType type, const std::string &payload)
 {
-    if (fd_ < 0 || closeAfterFlush_)
-        return;  // the injected close already won
-
-    std::string bytes = encodeFrame(type, payload);
-    if (fault_ != nullptr && fault_->active() &&
-        ++fault_->sent == fault_->frame) {
-        fault_->fired = true;
-        switch (fault_->kind) {
-        case FaultPlan::Kind::kDropAfter:
-            closeAfterFlush_ = true;
-            break;
-        case FaultPlan::Kind::kTorn:
-            bytes.resize(bytes.size() / 2);
-            closeAfterFlush_ = true;
-            break;
-        case FaultPlan::Kind::kStall:
-            // A genuine stall: the whole process sleeps, reads
-            // included, exactly like a wedged remote host.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(fault_->stallSec));
-            break;
-        case FaultPlan::Kind::kGarble:
-            // The payload only: the length header stays consistent.
-            for (std::size_t i = kFrameHeaderBytes; i < bytes.size(); ++i)
-                bytes[i] = static_cast<char>(bytes[i] ^ 0x5a);
-            break;
-        case FaultPlan::Kind::kNone:
-            break;
-        }
-    }
-    wbuf_ += bytes;
+    if (fd_ >= 0)
+        wbuf_ += encodeFrame(type, payload);
 }
 
 FrameChannel::Io
@@ -309,12 +97,6 @@ FrameChannel::flushWrites(std::string &error)
             return Io::kOk;
         error = csprintf("write failed: %s", std::strerror(errno));
         close();
-        return Io::kClosed;
-    }
-    if (fd_ >= 0 && wbuf_.empty() && closeAfterFlush_) {
-        // Injected drop/tear: vanish without so much as a FIN delay.
-        close();
-        error = "connection closed by fault injection";
         return Io::kClosed;
     }
     return Io::kOk;

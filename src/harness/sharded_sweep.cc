@@ -1,15 +1,12 @@
 #include "harness/sharded_sweep.hh"
 
-#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -17,6 +14,7 @@
 
 #include "common/logging.hh"
 #include "common/options.hh"
+#include "harness/net.hh"
 
 namespace acr::harness
 {
@@ -48,8 +46,7 @@ envCount(const char *name)
 
 /**
  * The worker-side fault-injection hooks (doc on the workerLoop
- * declaration), shared by the `--worker` and `--connect` loops; all
- * inert unless the environment arms them.
+ * declaration); all inert unless the environment arms them.
  */
 struct WorkerHooks
 {
@@ -95,58 +92,6 @@ struct WorkerHooks
             ::_exit(43);
     }
 };
-
-/** What a worker loop does after one dealt frame. */
-enum class Dealt
-{
-    kContinue,
-    kShutdown,  ///< the coordinator ended the sweep: exit 0
-    kError,     ///< protocol violation, reason in the error string
-};
-
-/**
- * The worker side of one frame from the coordinator, shared by the
- * `--worker` (socketpair) and `--connect` (TCP) loops: a point runs
- * the fault hooks and the simulation and is answered with its result
- * record, a ping with a pong; a stray pong is harmless.
- */
-Dealt
-answerDealt(RunnerPool &pool, WorkerHooks &hooks,
-            const net::Frame &frame,
-            const std::function<void(net::FrameType,
-                                     const std::string &)> &reply,
-            std::string &error)
-{
-    switch (frame.type) {
-    case net::FrameType::kPing:
-        reply(net::FrameType::kPong, "");
-        return Dealt::kContinue;
-    case net::FrameType::kPong:
-        return Dealt::kContinue;
-    case net::FrameType::kShutdown:
-        return Dealt::kShutdown;
-    case net::FrameType::kWire:
-        break;
-    }
-    wire::Record record;
-    try {
-        record = wire::decodeLine(frame.payload);
-    } catch (const serde::SerdeError &decode_error) {
-        error = decode_error.what();
-        return Dealt::kError;
-    }
-    if (record.type != wire::Record::Type::kPoint) {
-        error = "expected a point record";
-        return Dealt::kError;
-    }
-    hooks.onPoint(record.point.index);
-    const GridPoint &point = record.point.point;
-    reply(net::FrameType::kWire,
-          wire::encodeResultLine(
-              {record.point.index,
-               pool.at(point.threads).run(point.workload, point.config)}));
-    return Dealt::kContinue;
-}
 
 /**
  * The one ordered merge of every executor: slots fill in any order,
@@ -357,57 +302,6 @@ ShardedSweep::runForked(const std::vector<GridPoint> &points,
                         const std::vector<std::string> &workerCmd,
                         Shard shard, const SweepControls &controls)
 {
-    Supervisor::Options options = controls.supervise;
-    options.workers = workers == 0 ? 1 : workers;
-    // A fully served grid forks nothing but still reports as a forked
-    // sweep.
-    StatSet seed;
-    seed.set("sweep.forkedWorkers", 1.0);
-    return runSupervised(
-        points, shard, controls, std::move(seed),
-        [&](const std::vector<Supervisor::Task> &tasks,
-            const Supervisor::Deliver &deliver, StatSet &stats) {
-            stats.set("sweep.forkedWorkers",
-                      static_cast<double>(std::min<std::size_t>(
-                          options.workers, tasks.size())));
-            Supervisor(options).run(tasks, workerCmd, deliver, stats);
-        });
-}
-
-std::vector<ExperimentResult>
-ShardedSweep::runDistributed(const std::vector<GridPoint> &points,
-                             const net::Endpoint &listen,
-                             const std::string &bench,
-                             const SweepControls &controls)
-{
-    // Zero-seed the counters so a fully-served grid (the Supervisor
-    // never ran) still reports as a distributed sweep.
-    StatSet seed;
-    for (const char *name :
-         {"sweep.netJoins", "sweep.netLeaves", "sweep.retries",
-          "sweep.workerCrashes", "sweep.watchdogKills",
-          "sweep.quarantined"})
-        seed.set(name, 0.0);
-    return runSupervised(
-        points, {}, controls, std::move(seed),
-        [&](const std::vector<Supervisor::Task> &tasks,
-            const Supervisor::Deliver &deliver, StatSet &stats) {
-            Supervisor::NetOptions net_options;
-            net_options.listen = listen;
-            net_options.bench = bench;
-            net_options.gridPoints = points.size();
-            net_options.gridHash = wire::gridHash(points);
-            Supervisor(controls.supervise)
-                .run(tasks, net_options, deliver, stats);
-        });
-}
-
-std::vector<ExperimentResult>
-ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
-                            Shard shard, const SweepControls &controls,
-                            StatSet supervision,
-                            const TaskExecutor &execute)
-{
     const auto indices = shardIndices(points.size(), shard);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -420,164 +314,31 @@ ShardedSweep::runSupervised(const std::vector<GridPoint> &points,
     for (const std::size_t slot : merger.serve(controls.cache))
         tasks.push_back({slot, indices[slot], &points[indices[slot]]});
 
+    Supervisor::Options options = controls.supervise;
+    options.workers = workers == 0 ? 1 : workers;
+    StatSet stats;
+    // A fully served grid forks nothing but still reports as a forked
+    // sweep.
+    stats.set("sweep.forkedWorkers",
+              static_cast<double>(std::max<std::size_t>(
+                  1, std::min<std::size_t>(options.workers,
+                                           tasks.size()))));
     if (!tasks.empty()) {
-        execute(
-            tasks,
+        Supervisor(options).run(
+            tasks, workerCmd,
             [&](const Supervisor::Task &task, ExperimentResult result) {
                 if (controls.completed)
                     controls.completed(task.gridIndex, result);
                 merger.deliver(task.slot, std::move(result));
             },
-            supervision);
+            stats);
     }
     std::vector<ExperimentResult> results = merger.take();
 
-    hostStats_.clear();
+    hostStats_ = std::move(stats);
     hostStats_.set("sweep.points", static_cast<double>(indices.size()));
     hostStats_.set("sweep.wallMillis", millisSince(wall_start));
-    hostStats_.merge(supervision);
     return results;
-}
-
-int
-ShardedSweep::netWorkerLoop(RunnerPool &pool, const std::string &bench,
-                            const std::vector<GridPoint> &grid,
-                            const net::Endpoint &coordinator,
-                            unsigned heartbeatSec)
-{
-    ACR_ASSERT(heartbeatSec > 0, "heartbeat must be positive");
-    // A coordinator dying mid-frame must surface as a closed channel
-    // (triggering a reconnect), not kill the worker.
-    std::signal(SIGPIPE, SIG_IGN);
-
-    // One process-wide fault plan: frame ordinals keep counting
-    // across reconnects, so "torn=3" tears the third frame this
-    // process ever sends no matter how many connections that takes.
-    net::FaultPlan fault = net::FaultPlan::fromEnv();
-    WorkerHooks hooks = WorkerHooks::fromEnv();
-
-    const wire::HelloRecord identity{bench, grid.size(),
-                                     wire::gridHash(grid),
-                                     net::kProtocolVersion};
-    const std::string hello_line = wire::encodeHelloLine(identity);
-
-    using Clock = std::chrono::steady_clock;
-    const auto window =
-        std::chrono::seconds(static_cast<long long>(heartbeatSec) * 10);
-    auto down_since = Clock::now();
-    bool ever_joined = false;
-
-    // Reconnect window exhausted: a worker that saw the sweep is a
-    // clean straggler (the coordinator finished and left), one that
-    // never reached a coordinator is an error.
-    auto giveUp = [&](const std::string &why) -> int {
-        std::fprintf(stderr,
-                     "[net] giving up on %s after %llus "
-                     "disconnected: %s\n",
-                     coordinator.describe().c_str(),
-                     static_cast<unsigned long long>(heartbeatSec) *
-                         10,
-                     why.c_str());
-        return ever_joined ? 0 : 1;
-    };
-
-    while (true) {
-        std::string error;
-        const int fd = net::connectOnce(coordinator, error);
-        if (fd < 0) {
-            if (Clock::now() - down_since > window)
-                return giveUp(error);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-            continue;
-        }
-
-        net::FrameChannel channel(fd, &fault);
-        channel.send(net::FrameType::kWire, hello_line);
-        const auto reply = [&channel](net::FrameType type,
-                                      const std::string &payload) {
-            channel.send(type, payload);
-        };
-        bool joined = false;
-
-        while (channel.isOpen()) {
-            if (channel.flushWrites(error) ==
-                net::FrameChannel::Io::kClosed)
-                break;
-            pollfd pfd{channel.fd(), POLLIN, 0};
-            if (channel.wantsWrite())
-                pfd.events |= POLLOUT;
-            const int rc = ::poll(&pfd, 1, 200);
-            if (rc < 0 && errno != EINTR)
-                fatal("poll: %s", std::strerror(errno));
-            down_since = Clock::now();  // connected counts as healthy
-            if (rc <= 0)
-                continue;
-            std::vector<net::Frame> frames;
-            const auto io = channel.readFrames(frames, error);
-            for (const auto &frame : frames) {
-                if (!joined && frame.type == net::FrameType::kWire) {
-                    // The coordinator's first record is its hello.
-                    wire::Record record;
-                    std::string problem = "coordinator spoke before its "
-                                          "hello";
-                    try {
-                        record = wire::decodeLine(frame.payload);
-                    } catch (const serde::SerdeError &err) {
-                        problem = err.what();
-                    }
-                    if (record.type != wire::Record::Type::kHello) {
-                        std::fprintf(stderr,
-                                     "[net] protocol error from "
-                                     "coordinator: %s\n",
-                                     problem.c_str());
-                        channel.close();
-                        break;
-                    }
-                    if (record.hello != identity) {
-                        // Version/bench/grid skew cannot heal by
-                        // reconnecting: report and exit nonzero.
-                        std::fprintf(stderr,
-                                     "[net] handshake mismatch: "
-                                     "coordinator offers %s; this "
-                                     "worker has %s\n",
-                                     record.hello.describe().c_str(),
-                                     identity.describe().c_str());
-                        return 1;
-                    }
-                    joined = true;
-                    ever_joined = true;
-                    continue;
-                }
-                std::string problem;
-                const Dealt next =
-                    answerDealt(pool, hooks, frame, reply, problem);
-                if (next == Dealt::kShutdown) {
-                    // Clean end of sweep.
-                    std::string ignored;
-                    channel.flushWrites(ignored);
-                    return 0;
-                }
-                if (next == Dealt::kError) {
-                    std::fprintf(stderr,
-                                 "[net] protocol error from "
-                                 "coordinator: %s\n",
-                                 problem.c_str());
-                    channel.close();
-                    break;
-                }
-            }
-            if (io == net::FrameChannel::Io::kClosed)
-                break;
-        }
-
-        if (!error.empty())
-            std::fprintf(stderr, "[net] connection to %s lost: %s\n",
-                         coordinator.describe().c_str(),
-                         error.c_str());
-        if (Clock::now() - down_since > window)
-            return giveUp(error.empty() ? "connection lost" : error);
-    }
 }
 
 int
@@ -585,12 +346,6 @@ ShardedSweep::workerLoop(RunnerPool &pool, std::istream &in,
                          std::ostream &out)
 {
     WorkerHooks hooks = WorkerHooks::fromEnv();
-    const auto reply = [&out](net::FrameType type,
-                              const std::string &payload) {
-        const std::string bytes = net::encodeFrame(type, payload);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-    };
     auto fail = [](const std::string &why) {
         std::fprintf(stderr, "sweep worker: %s\n", why.c_str());
         return 1;
@@ -603,22 +358,35 @@ ShardedSweep::workerLoop(RunnerPool &pool, std::istream &in,
             return in.gcount() == 0 ? 0 : fail("stream ends inside a "
                                                "frame header");
         }
-        net::Frame frame;
+        net::FrameType type;
         std::uint32_t length = 0;
         std::string error;
-        if (!net::decodeFrameHeader(header, length, frame.type, error))
+        if (!net::decodeFrameHeader(header, length, type, error))
             return fail(error);
-        frame.payload.resize(length);
-        if (!in.read(frame.payload.data(), length))
+        std::string payload(length, '\0');
+        if (!in.read(payload.data(), length))
             return fail("stream ends inside a frame");
-        switch (answerDealt(pool, hooks, frame, reply, error)) {
-        case Dealt::kContinue:
-            break;
-        case Dealt::kShutdown:
+        if (type == net::FrameType::kShutdown)
             return 0;
-        case Dealt::kError:
-            return fail(error);
+
+        wire::Record record;
+        try {
+            record = wire::decodeLine(payload);
+        } catch (const serde::SerdeError &decode_error) {
+            return fail(decode_error.what());
         }
+        if (record.type != wire::Record::Type::kPoint)
+            return fail("expected a point record");
+        hooks.onPoint(record.point.index);
+        const GridPoint &point = record.point.point;
+        const std::string reply = net::encodeFrame(
+            net::FrameType::kWire,
+            wire::encodeResultLine(
+                {record.point.index,
+                 pool.at(point.threads).run(point.workload,
+                                            point.config)}));
+        out.write(reply.data(), static_cast<std::streamsize>(reply.size()));
+        out.flush();
     }
 }
 
@@ -637,33 +405,24 @@ ShardedSweep::reportTiming(std::ostream &os) const
 {
     const double wall = hostStats_.get("sweep.wallMillis");
     os << "[sweep] " << hostStats_.get("sweep.points") << " points";
-    const bool listened = hostStats_.has("sweep.netJoins");
-    if (listened) {
-        os << " via --listen: " << wall << " ms wall, "
-           << hostStats_.get("sweep.netJoins") << " worker join(s), "
-           << hostStats_.get("sweep.netLeaves") << " leave(s)\n";
-    } else if (hostStats_.has("sweep.forkedWorkers")) {
-        os << " on " << hostStats_.get("sweep.forkedWorkers")
-           << " forked worker(s): " << wall << " ms wall, "
-           << hostStats_.get("sweep.coldDeals") << " cold deal(s)\n";
-    } else {
+    if (!hostStats_.has("sweep.forkedWorkers")) {
         const double work = hostStats_.get("sweep.workMillis");
         os << " on " << jobs_ << " job(s): " << wall << " ms wall, "
            << work << " ms of work (parallelism "
            << (wall > 0.0 ? work / wall : 0.0) << "x)\n";
         return;
     }
+    os << " on " << hostStats_.get("sweep.forkedWorkers")
+       << " forked worker(s): " << wall << " ms wall, "
+       << hostStats_.get("sweep.coldDeals") << " cold deal(s)\n";
     const double crashes = hostStats_.get("sweep.workerCrashes");
     const double kills = hostStats_.get("sweep.watchdogKills");
-    if (crashes > 0 || kills > 0) {
-        os << "[sweep] supervision: " << crashes
-           << (listened ? " connection loss(es), " : " worker crash(es), ")
+    if (crashes > 0 || kills > 0)
+        os << "[sweep] supervision: " << crashes << " worker crash(es), "
            << kills << " watchdog kill(s), "
-           << hostStats_.get("sweep.retries") << " retr(y/ies), ";
-        if (!listened)
-            os << hostStats_.get("sweep.respawns") << " respawn(s), ";
-        os << hostStats_.get("sweep.quarantined") << " quarantined\n";
-    }
+           << hostStats_.get("sweep.retries") << " retr(y/ies), "
+           << hostStats_.get("sweep.respawns") << " respawn(s), "
+           << hostStats_.get("sweep.quarantined") << " quarantined\n";
 }
 
 } // namespace acr::harness

@@ -3,18 +3,18 @@
  * ShardedSweep: the one sweep executor. A coordinator enumerates an
  * experiment grid (std::vector<GridPoint>), partitions it
  * deterministically — `--shard=i/N` carves out every N-th point for
- * static machine-level sharding — runs its slice on host threads,
- * forked `--worker` child processes of the same bench binary, or a
- * TCP fleet, and merges results back **in submission order**, so the
- * rendered output is bit-identical to a `--jobs=1` single-process run
- * no matter how the work was spread.
+ * static machine-level sharding — runs its slice on host threads or
+ * forked `--worker` child processes of the same bench binary, and
+ * merges results back **in submission order**, so the rendered output
+ * is bit-identical to a `--jobs=1` single-process run no matter how
+ * the work was spread.
  *
- * Workers speak the wire format (harness/wire.hh) inside net frames
- * (harness/net.hh), over TCP or — for a forked worker — over the
- * socketpair that is its stdin and stdout: the coordinator deals one
- * PointRecord at a time and each worker answers with one ResultRecord
- * per finished experiment, so results arrive (and the ordered sink
- * fires) as they land rather than at an end-of-sweep barrier.
+ * Forked workers speak the wire format (harness/wire.hh) inside net
+ * frames (harness/net.hh) over the socketpair that is their stdin and
+ * stdout: the coordinator deals one PointRecord at a time and each
+ * worker answers with one ResultRecord per finished experiment, so
+ * results arrive (and the ordered sink fires) as they land rather than
+ * at an end-of-sweep barrier.
  *
  * Simulated results never contain host timing — wall clock depends on
  * scheduling, and results must not — so wall-clock observations live
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "harness/net.hh"
 #include "harness/runner.hh"
 #include "harness/supervisor.hh"
 #include "harness/wire.hh"
@@ -118,8 +117,8 @@ class ShardedSweep
          */
         const std::map<std::size_t, ExperimentResult> *cache = nullptr;
 
-        /** Retry/watchdog/heartbeat knobs for the forked and TCP
-         *  executors (workers is overridden by runForked's argument). */
+        /** Retry/watchdog knobs for the forked executor (workers is
+         *  overridden by runForked's argument). */
         Supervisor::Options supervise;
     };
 
@@ -181,53 +180,14 @@ class ShardedSweep
               const SweepControls &controls);
 
     /**
-     * Distributed mode (`--listen`, DESIGN.md §15): accept TCP
-     * `--connect` workers on @p listen and deal the whole grid to
-     * whatever fleet shows up, through the same Supervisor loop as
-     * runForked — elastic membership, the shared
-     * retry/backoff/quarantine ladder, and the same ordered merge, so
-     * rendered output stays byte-identical to a local `--jobs=1` run
-     * no matter how the fleet churned. Cached points are served
-     * coordinator-side and never dealt; a fully served grid returns
-     * without ever listening.
-     */
-    std::vector<ExperimentResult>
-    runDistributed(const std::vector<GridPoint> &points,
-                   const net::Endpoint &listen, const std::string &bench,
-                   const SweepControls &controls);
-
-    /**
-     * The `--connect` side of a distributed sweep: dial the
-     * coordinator, handshake (bench + grid identity + protocol
-     * version, both directions), run dealt points, answer heartbeat
-     * pings, and reconnect with the same identity after a dropped
-     * connection. Exits 0 on the coordinator's shutdown frame; when
-     * the reconnect window — ten heartbeats of continuous
-     * disconnection — closes, exits 0 if the sweep was ever joined
-     * (the coordinator finished and went away) and 1 if the
-     * coordinator was never reachable. A handshake mismatch
-     * (version/bench/grid skew) exits 1 immediately: reconnecting
-     * cannot fix it.
-     *
-     * Dealt frames are answered exactly as in workerLoop, fault hooks
-     * included, and ACR_NET_FAULT (net::FaultPlan) arms one transport
-     * fault on outbound frames, with ordinals counted across
-     * reconnects.
-     */
-    static int netWorkerLoop(RunnerPool &pool, const std::string &bench,
-                             const std::vector<GridPoint> &grid,
-                             const net::Endpoint &coordinator,
-                             unsigned heartbeatSec);
-
-    /**
      * The `--worker` side: read net frames from @p in — a forked
      * worker's stdin, one end of the coordinator's socketpair — and
      * answer on @p out, its stdout and the same socket: each point
      * frame is executed against @p pool and answered with one flushed
-     * result frame, a ping with a pong. Returns a process exit code:
-     * 0 on a shutdown frame or EOF between frames, nonzero on a
-     * malformed frame or record. There is no handshake — the
-     * coordinator built this process's argv from its own binary.
+     * result frame. Returns a process exit code: 0 on a shutdown frame
+     * or EOF between frames, nonzero on a malformed frame or record.
+     * There is no handshake — the coordinator built this process's
+     * argv from its own binary.
      *
      * Fault-injection hooks for the supervisor tests (inert unless
      * the environment variables are set): ACR_TEST_CRASH_AT=k
@@ -251,32 +211,13 @@ class ShardedSweep
      *  plus sweep.point.<index>.millis. Forked runs add the
      *  Supervisor counters (sweep.respawns, sweep.retries,
      *  sweep.workerCrashes, sweep.watchdogKills, sweep.quarantined,
-     *  sweep.coldDeals);
-     *  distributed runs add sweep.netJoins and sweep.netLeaves. */
+     *  sweep.coldDeals). */
     const StatSet &hostStats() const { return hostStats_; }
 
     /** One-line wall/work summary of the last run. */
     void reportTiming(std::ostream &os) const;
 
   private:
-    /** Runs the not-yet-served tasks on a Supervisor and fills in the
-     *  Supervisor counters. */
-    using TaskExecutor = std::function<void(
-        const std::vector<Supervisor::Task> &,
-        const Supervisor::Deliver &, StatSet &)>;
-
-    /**
-     * The process-boundary executors' shared scaffolding: serve cached
-     * slots, hand the rest to @p execute (never called when every slot
-     * was served), and fire the ordered sink as the completed prefix
-     * grows. hostStats() ends up with @p supervision as @p execute
-     * left it, plus sweep.points and sweep.wallMillis.
-     */
-    std::vector<ExperimentResult>
-    runSupervised(const std::vector<GridPoint> &points, Shard shard,
-                  const SweepControls &controls, StatSet supervision,
-                  const TaskExecutor &execute);
-
     RunnerPool &pool_;
     unsigned jobs_;
     StatSet hostStats_;

@@ -102,26 +102,21 @@ spawnWorker(const std::vector<std::string> &argv, bool respawn, int &fd)
     return pid;
 }
 
-/** One member of the fleet: a forked child on a socketpair, or a TCP
- *  connection. */
+/** One member of the fleet: a forked child on a socketpair. */
 struct Peer
 {
-    enum class State { kHandshake, kIdle, kBusy };
+    enum class State { kIdle, kBusy };
 
     std::uint64_t id;
-    pid_t pid;  ///< the forked child; -1 for a TCP peer
+    pid_t pid;
     net::FrameChannel channel;
-    State state;
+    State state = State::kIdle;
     Attempt attempt;             ///< valid while kBusy
     std::set<Supervisor::Affinity> warm;  ///< affinities dealt to it
     Clock::time_point deadline;  ///< valid while kBusy w/ watchdog
-    Clock::time_point lastHeard;
-    Clock::time_point lastPing;
 
-    Peer(std::uint64_t id_, pid_t pid_, int fd, State state_,
-         Clock::time_point now)
-        : id(id_), pid(pid_), channel(fd), state(state_),
-          lastHeard(now), lastPing(now)
+    Peer(std::uint64_t id_, pid_t pid_, int fd)
+        : id(id_), pid(pid_), channel(fd)
     {
     }
 };
@@ -173,73 +168,29 @@ Supervisor::run(const std::vector<Task> &tasks,
                 const Deliver &deliver, StatSet &stats)
 {
     ACR_ASSERT(!workerCmd.empty(), "empty worker command");
-    supervise(tasks, &workerCmd, nullptr, deliver, stats);
-}
-
-void
-Supervisor::run(const std::vector<Task> &tasks, const NetOptions &net,
-                const Deliver &deliver, StatSet &stats)
-{
-    supervise(tasks, nullptr, &net, deliver, stats);
-}
-
-void
-Supervisor::supervise(const std::vector<Task> &tasks,
-                      const std::vector<std::string> *workerCmd,
-                      const NetOptions *net, const Deliver &deliver,
-                      StatSet &stats)
-{
     ACR_ASSERT(deliver, "supervisor needs a delivery sink");
-    ACR_ASSERT(options_.heartbeatSec > 0, "heartbeat must be positive");
 
     // A send to a just-vanished peer must surface as a closed channel
     // (triggering a retry), not kill the coordinator.
     std::signal(SIGPIPE, SIG_IGN);
 
     double respawns = 0, retries = 0, busy_drops = 0, watchdog_kills = 0,
-           quarantined = 0, joins = 0, leaves = 0, cold_deals = 0;
+           quarantined = 0, cold_deals = 0;
 
     std::deque<Attempt> queue;
     for (const auto &task : tasks)
         queue.push_back({task, 0, Clock::now()});
     std::size_t remaining = tasks.size();
 
-    // Forked fleet: children are spawned on demand, up to this many at
-    // once; spawns beyond the first `fleet` are respawns.
+    // Children are spawned on demand, up to this many at once; spawns
+    // beyond the first `fleet` are respawns.
     const std::size_t fleet = std::max(1u, options_.workers);
     const std::size_t initial_fleet =
         std::min<std::size_t>(fleet, tasks.size());
     std::size_t spawned = 0;
 
-    // TCP fleet: workers dial in and handshake.
-    int listen_fd = -1;
-    wire::HelloRecord identity;
-    std::string hello_line;
-    if (net != nullptr) {
-        net::Endpoint bound;
-        listen_fd = net::listenOn(net->listen, bound);
-        std::fprintf(stderr, "[net] listening on %s\n",
-                     bound.describe().c_str());
-        identity = {net->bench, net->gridPoints, net->gridHash,
-                    net::kProtocolVersion};
-        hello_line = wire::encodeHelloLine(identity);
-    }
-
     std::vector<std::unique_ptr<Peer>> peers;
     std::uint64_t next_id = 1;
-
-    const auto heartbeat = secondsDuration(options_.heartbeatSec);
-    // An unresponsive *idle* peer is dropped after missing several
-    // heartbeats. A busy peer is single-threadedly simulating and
-    // cannot answer pings, so only the --point-timeout watchdog (and
-    // the stream itself, for an outright death) covers it.
-    const auto idle_timeout = heartbeat * 4;
-    // With work queued and nobody connected, wait this long for a
-    // (re)join before quarantining everything left — the sweep
-    // degrades to FAILED cells and exit 3, it never hangs. A forked
-    // fleet never waits: it spawns.
-    const auto join_grace = heartbeat * 8;
-    auto empty_since = Clock::now();
 
     // Give up on @p attempt: deliver its placeholder result so the
     // sweep completes around it.
@@ -256,22 +207,17 @@ Supervisor::supervise(const std::vector<Task> &tasks,
         --remaining;
     };
 
-    // Drop @p peer, invalidating it. A forked peer is SIGKILLed and
-    // reaped by pid; when its stream @p closed under it (EOF, EPIPE,
-    // ECONNRESET — which one wins is a race), its exit status is the
-    // reason. A busy peer's in-flight point is retried behind its
-    // jittered backoff or, out of retries, quarantined. An idle leave
-    // costs nothing.
+    // Drop @p peer, invalidating it: SIGKILL and reap it by pid. When
+    // its stream @p closed under it (EOF, EPIPE, ECONNRESET — which one
+    // wins is a race), its exit status is the reason. A busy peer's
+    // in-flight point is retried behind its jittered backoff or, out of
+    // retries, quarantined. An idle leave costs nothing.
     auto dropPeer = [&](Peer *peer, std::string reason, bool closed) {
         peer->channel.close();
-        if (peer->pid > 0) {
-            ::kill(peer->pid, SIGKILL);
-            const int status = reap(peer->pid);
-            if (closed)
-                reason = "worker " + describeStatus(status);
-        }
-        if (peer->state != Peer::State::kHandshake)
-            ++leaves;
+        ::kill(peer->pid, SIGKILL);
+        const int status = reap(peer->pid);
+        if (closed)
+            reason = "worker " + describeStatus(status);
         if (peer->state == Peer::State::kBusy) {
             ++busy_drops;
             Attempt attempt = peer->attempt;
@@ -291,8 +237,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                 queue.push_back(attempt);
             }
         } else {
-            std::fprintf(stderr, "[%s] worker #%llu left: %s\n",
-                         peer->pid > 0 ? "sweep" : "net",
+            std::fprintf(stderr, "[sweep] worker #%llu left: %s\n",
                          static_cast<unsigned long long>(peer->id),
                          reason.c_str());
         }
@@ -302,11 +247,8 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     };
 
     // Apply one inbound frame; returns false once the peer has been
-    // dropped (protocol violation, handshake mismatch).
+    // dropped for a protocol violation.
     auto handleFrame = [&](Peer *peer, const net::Frame &frame) -> bool {
-        peer->lastHeard = Clock::now();
-        if (frame.type == net::FrameType::kPong)
-            return true;
         if (frame.type != net::FrameType::kWire) {
             dropPeer(peer,
                      csprintf("protocol error: unexpected frame type %u",
@@ -325,25 +267,6 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                      false);
             return false;
         }
-        if (peer->state == Peer::State::kHandshake) {
-            if (record.type != wire::Record::Type::kHello) {
-                dropPeer(peer, "protocol error: expected a hello record",
-                         false);
-                return false;
-            }
-            if (record.hello != identity) {
-                dropPeer(peer,
-                         "handshake mismatch: worker offers " +
-                             record.hello.describe(),
-                         false);
-                return false;
-            }
-            peer->state = Peer::State::kIdle;
-            ++joins;
-            std::fprintf(stderr, "[net] worker #%llu joined\n",
-                         static_cast<unsigned long long>(peer->id));
-            return true;
-        }
         if (record.type != wire::Record::Type::kResult ||
             peer->state != Peer::State::kBusy ||
             record.result.index != peer->attempt.task.gridIndex) {
@@ -359,25 +282,12 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     while (remaining > 0) {
         const auto now = Clock::now();
 
-        // Accept joiners — late ones included; membership is elastic.
-        if (listen_fd >= 0) {
-            for (int fd; (fd = net::acceptOnce(listen_fd)) >= 0;) {
-                peers.push_back(std::make_unique<Peer>(
-                    next_id++, -1, fd, Peer::State::kHandshake, now));
-                peers.back()->channel.send(net::FrameType::kWire,
-                                           hello_line);
-            }
-        }
-
         // Deal ready work to idle peers, workload-affine (pick()): a
         // peer keeps to the workloads whose slice pass and prefix
         // snapshot its Runner already holds, takes one no live peer
-        // holds next, and steals only when neither is queued, so a
-        // fleet of any changing size drains the same queue. A forked
-        // fleet with room spawns a peer for a ready point nobody idle
-        // can take — never for a point still waiting out its backoff.
-        // Forked peers start idle: the coordinator built their argv,
-        // so there is no identity to prove.
+        // holds next, and steals only when neither is queued. A fleet
+        // with room spawns a peer for a ready point nobody idle can
+        // take — never for a point still waiting out its backoff.
         const auto is_idle = [](const std::unique_ptr<Peer> &p) {
             return p->state == Peer::State::kIdle;
         };
@@ -395,14 +305,14 @@ Supervisor::supervise(const std::vector<Task> &tasks,
             if (chosen == queue.end())
                 break;
             if (peer == nullptr) {
-                if (workerCmd == nullptr || peers.size() >= fleet)
+                if (peers.size() >= fleet)
                     break;
                 const bool respawn = spawned++ >= initial_fleet;
                 respawns += respawn ? 1 : 0;
                 int fd = -1;
-                const pid_t pid = spawnWorker(*workerCmd, respawn, fd);
-                peers.push_back(std::make_unique<Peer>(
-                    next_id++, pid, fd, Peer::State::kIdle, now));
+                const pid_t pid = spawnWorker(workerCmd, respawn, fd);
+                peers.push_back(
+                    std::make_unique<Peer>(next_id++, pid, fd));
                 peer = peers.back().get();
             }
             peer->attempt = *chosen;
@@ -419,50 +329,34 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                     now + secondsDuration(options_.pointTimeoutSec);
         }
 
-        // Heartbeats out; unresponsive idle peers and wedged busy
-        // peers dropped.
-        for (std::size_t i = 0; i < peers.size();) {
-            Peer *peer = peers[i].get();
-            if (now - peer->lastPing >= heartbeat) {
-                peer->lastPing = now;
-                peer->channel.send(net::FrameType::kPing, "");
+        // Wedged busy peers dropped.
+        if (options_.pointTimeoutSec > 0) {
+            for (std::size_t i = 0; i < peers.size();) {
+                Peer *peer = peers[i].get();
+                if (peer->state == Peer::State::kBusy &&
+                    now >= peer->deadline) {
+                    ++watchdog_kills;
+                    dropPeer(peer,
+                             csprintf("point exceeded --point-timeout=%g s",
+                                      options_.pointTimeoutSec),
+                             false);
+                    continue;  // dropPeer erased peers[i]
+                }
+                ++i;
             }
-            if (peer->state != Peer::State::kBusy &&
-                now - peer->lastHeard > idle_timeout) {
-                dropPeer(peer, "heartbeat timeout", false);
-                continue;  // dropPeer erased peers[i]
-            }
-            if (peer->state == Peer::State::kBusy &&
-                options_.pointTimeoutSec > 0 && now >= peer->deadline) {
-                ++watchdog_kills;
-                dropPeer(peer,
-                         csprintf("point exceeded --point-timeout=%g s",
-                                  options_.pointTimeoutSec),
-                         false);
-                continue;
-            }
-            ++i;
-        }
-
-        if (listen_fd < 0 || !peers.empty()) {
-            empty_since = now;
-        } else if (now - empty_since > join_grace) {
-            for (; !queue.empty(); queue.pop_front())
-                quarantine(queue.front(), "no connected workers");
         }
         if (remaining == 0)
             break;  // the last point was just quarantined
 
         // Sleep until a frame arrives, or wake at the nearest watchdog
-        // deadline or backoff expiry, capped so the time-based sweeps
-        // above run at a bounded cadence regardless. A point that is
-        // ready already wakes the loop only if a peer could take it
-        // now: one is idle, or a drop above left a forked fleet room
-        // to spawn. Otherwise it waits for a busy peer's result, which
-        // poll() reports.
+        // deadline or backoff expiry, capped at 200 ms as a backstop.
+        // A point that is ready already wakes the loop only if a peer
+        // could take it now: one is idle, or a drop above left the
+        // fleet room to spawn. Otherwise it waits for a busy peer's
+        // result, which poll() reports.
         const bool can_deal =
             std::any_of(peers.begin(), peers.end(), is_idle) ||
-            (workerCmd != nullptr && peers.size() < fleet);
+            peers.size() < fleet;
         long long timeout_ms = 200;
         auto wakeAt = [&](Clock::time_point when) {
             timeout_ms = std::clamp<long long>(
@@ -480,11 +374,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
                 wakeAt(peer->deadline);
 
         std::vector<pollfd> fds;
-        std::vector<std::uint64_t> owner;  // peer id; 0: the listener
-        if (listen_fd >= 0) {
-            fds.push_back({listen_fd, POLLIN, 0});
-            owner.push_back(0);
-        }
+        std::vector<std::uint64_t> owner;  // peer id
         for (const auto &peer : peers) {
             short events = POLLIN;
             if (peer->channel.wantsWrite())
@@ -500,7 +390,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
             continue;
 
         for (std::size_t i = 0; i < fds.size(); ++i) {
-            if (fds[i].revents == 0 || owner[i] == 0)
+            if (fds[i].revents == 0)
                 continue;
             // The peer may have been dropped while handling an earlier
             // fd this round.
@@ -532,8 +422,8 @@ Supervisor::supervise(const std::vector<Task> &tasks,
 
     // Sweep complete: tell every peer to exit cleanly, with a short
     // best-effort flush (a stuck peer must not wedge the coordinator's
-    // own exit), then close every stream and reap every forked child
-    // — an unreaped worker would drop out of RUSAGE_CHILDREN.
+    // own exit), then close every stream and reap every child — an
+    // unreaped worker would drop out of RUSAGE_CHILDREN.
     for (auto &peer : peers)
         peer->channel.send(net::FrameType::kShutdown, "");
     const auto flush_deadline = Clock::now() + std::chrono::seconds(2);
@@ -553,12 +443,9 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     }
     for (auto &peer : peers) {
         peer->channel.close();
-        if (peer->pid > 0)
-            reap(peer->pid);
+        reap(peer->pid);
     }
     peers.clear();
-    if (listen_fd >= 0)
-        ::close(listen_fd);
 
     stats.set("sweep.retries", retries);
     // Crashes: busy peers lost to anything but the watchdog.
@@ -566,12 +453,7 @@ Supervisor::supervise(const std::vector<Task> &tasks,
     stats.set("sweep.watchdogKills", watchdog_kills);
     stats.set("sweep.quarantined", quarantined);
     stats.set("sweep.coldDeals", cold_deals);
-    if (net != nullptr) {
-        stats.set("sweep.netJoins", joins);
-        stats.set("sweep.netLeaves", leaves);
-    } else {
-        stats.set("sweep.respawns", respawns);
-    }
+    stats.set("sweep.respawns", respawns);
 }
 
 } // namespace acr::harness

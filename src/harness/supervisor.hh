@@ -2,20 +2,20 @@
  * @file
  * Fault-tolerant execution layer under harness::ShardedSweep — the
  * paper's checkpoint/recovery discipline applied to the harness's own
- * long-running sweeps (DESIGN.md §10, §15).
+ * long-running sweeps (DESIGN.md §10).
  *
- * `Supervisor` is the one coordinator loop behind both process-boundary
- * executors: a single-threaded poll() over net::FrameChannel peers —
- * forked `--worker` children on socketpairs, or `--connect` workers
- * over TCP — dealt one point at a time, workload-affine (pick()): a
- * peer keeps the workloads whose slice pass and prefix snapshot it
- * already holds. The loop sleeps in poll() until a frame, a backoff
- * expiry or a watchdog deadline needs it. Silent idle peers and (with a
- * watchdog) wedged busy ones are dropped, and a lost busy peer's point
- * is retried with jittered exponential backoff. A point that exhausts
- * its retries is *quarantined* — delivered as an
- * `ExperimentResult::quarantined` placeholder (a `failed` wire record
- * downstream) so the sweep completes around it instead of aborting.
+ * `Supervisor` is the coordinator loop of the forked executor: a
+ * single-threaded poll() over net::FrameChannel peers — forked
+ * `--worker` children on socketpairs — dealt one point at a time,
+ * workload-affine (pick()): a peer keeps the workloads whose slice pass
+ * and prefix snapshot it already holds. The loop sleeps in poll() until
+ * a frame, a backoff expiry or a watchdog deadline needs it. A peer
+ * whose stream ends is reaped, a wedged busy one (with a watchdog) is
+ * killed, and a lost busy peer's point is retried with jittered
+ * exponential backoff. A point that exhausts its retries is
+ * *quarantined* — delivered as an `ExperimentResult::quarantined`
+ * placeholder (a `failed` wire record downstream) so the sweep
+ * completes around it instead of aborting.
  *
  * A killed sweep restarts from the ResultCache (result_cache.hh):
  * rerunning it with the same `--cache` serves every completed point
@@ -30,7 +30,6 @@
 #define ACR_HARNESS_SUPERVISOR_HH
 
 #include <chrono>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <set>
@@ -45,8 +44,7 @@
 namespace acr::harness
 {
 
-/** Retry/backoff/watchdog/quarantine over an elastic fleet of forked
- *  or TCP workers. */
+/** Retry/backoff/watchdog/quarantine over a fleet of forked workers. */
 class Supervisor
 {
   public:
@@ -60,16 +58,9 @@ class Supervisor
         unsigned retries = 2;
 
         /** Per-point wall-clock watchdog in seconds; a worker that
-         *  holds a point longer is dropped (a forked one SIGKILLed)
-         *  and the point retried. 0 disables the watchdog. */
+         *  holds a point longer is SIGKILLed and the point retried.
+         *  0 disables the watchdog. */
         double pointTimeoutSec = 0.0;
-
-        /** Keepalive ping cadence in seconds. Idle peers time out
-         *  after four missed heartbeats; an empty TCP fleet with
-         *  queued work is given eight for a (re)join before every
-         *  queued point is quarantined — the sweep degrades to FAILED
-         *  cells, it never hangs. */
-        unsigned heartbeatSec = 5;
     };
 
     /** First retry delay in seconds; doubles per further attempt. */
@@ -77,21 +68,6 @@ class Supervisor
 
     /** Backoff growth cap in seconds. */
     static constexpr double kBackoffCapSec = 2.0;
-
-    /**
-     * TCP fleet (DESIGN.md §15): where to accept `--connect` workers
-     * and the identity their handshake must match.
-     */
-    struct NetOptions
-    {
-        net::Endpoint listen;  ///< port 0: kernel-picked
-
-        /** Handshake identity: a worker whose hello disagrees on any
-         *  of these (or on net::kProtocolVersion) is rejected. */
-        std::string bench;
-        std::uint64_t gridPoints = 0;
-        std::uint64_t gridHash = 0;
-    };
 
     /** One unit of supervised work. */
     struct Task
@@ -133,12 +109,12 @@ class Supervisor
     explicit Supervisor(Options options) : options_(options) {}
 
     /**
-     * Forked fleet: run every task to completion (success or
-     * quarantine) on up to Options::workers children running
-     * @p workerCmd — argv of a `--worker` invocation of this very
-     * binary (see ShardedSweep::selfExecutable). A child is forked
-     * only when a ready point can be dealt to it, and every close of
-     * one is SIGKILL plus a blocking waitpid on its pid: its exit
+     * Run every task to completion (success or quarantine) on up to
+     * Options::workers children running @p workerCmd — argv of a
+     * `--worker` invocation of this very binary (see
+     * ShardedSweep::selfExecutable). A child is forked only when a
+     * ready point can be dealt to it, and every close of one is
+     * SIGKILL plus a blocking waitpid on its pid: its exit
      * status names the failure and no child outlives the sweep.
      * Counters in @p stats: sweep.respawns, sweep.retries,
      * sweep.workerCrashes (busy peers lost), sweep.watchdogKills,
@@ -147,19 +123,6 @@ class Supervisor
      */
     void run(const std::vector<Task> &tasks,
              const std::vector<std::string> &workerCmd,
-             const Deliver &deliver, StatSet &stats);
-
-    /**
-     * TCP fleet: accept `--connect` workers on @p net.listen (the
-     * bound endpoint — port 0 resolved — is announced as
-     * "[net] listening on HOST:PORT" on stderr) and run every task to
-     * completion. Membership is elastic: workers may join late, leave
-     * idle, crash busy, or reconnect. Counters in @p stats:
-     * sweep.retries, sweep.workerCrashes (busy connections lost),
-     * sweep.watchdogKills, sweep.quarantined, sweep.coldDeals,
-     * sweep.netJoins, sweep.netLeaves.
-     */
-    void run(const std::vector<Task> &tasks, const NetOptions &net,
              const Deliver &deliver, StatSet &stats);
 
     /** Backoff before attempt @p tries+1 of @p gridIndex, in seconds:
@@ -182,13 +145,6 @@ class Supervisor
          const std::set<Affinity> &claimed, Clock::time_point now);
 
   private:
-    /** The one coordinator loop behind both run() overloads; exactly
-     *  one of @p workerCmd and @p net is non-null. */
-    void supervise(const std::vector<Task> &tasks,
-                   const std::vector<std::string> *workerCmd,
-                   const NetOptions *net, const Deliver &deliver,
-                   StatSet &stats);
-
     Options options_;
 };
 

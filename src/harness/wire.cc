@@ -333,27 +333,6 @@ encodeResultLine(const ResultRecord &record)
     return json.dump();
 }
 
-std::string
-HelloRecord::describe() const
-{
-    return csprintf("bench '%s', %llu point(s), grid %016llx, net v%llu",
-                    bench.c_str(),
-                    static_cast<unsigned long long>(gridPoints),
-                    static_cast<unsigned long long>(gridHash),
-                    static_cast<unsigned long long>(netVersion));
-}
-
-std::string
-encodeHelloLine(const HelloRecord &record)
-{
-    Json json = envelope("hello");
-    json.set("bench", record.bench)
-        .set("gridPoints", record.gridPoints)
-        .set("gridHash", record.gridHash)
-        .set("netVersion", record.netVersion);
-    return json.dump();
-}
-
 Record
 decodeLine(const std::string &line)
 {
@@ -378,27 +357,11 @@ decodeLine(const std::string &line)
         record.type = Record::Type::kResult;
         record.result.index = reader.requireUint("index");
         record.result.result = decodeResult(reader.require("result"));
-    } else if (type == "hello") {
-        record.type = Record::Type::kHello;
-        record.hello.bench = reader.requireString("bench");
-        record.hello.gridPoints = reader.requireUint("gridPoints");
-        record.hello.gridHash = reader.requireUint("gridHash");
-        record.hello.netVersion = reader.requireUint("netVersion");
     } else {
         throw SerdeError("unknown record type '" + type + "'");
     }
     reader.finish();
     return record;
-}
-
-std::uint64_t
-gridHash(const std::vector<GridPoint> &points)
-{
-    std::uint64_t hash = fnv1a("");  // the offset basis
-    for (std::uint64_t i = 0; i < points.size(); ++i)
-        hash = fnv1a(encodePointLine(PointRecord{i, points[i]}) + "\n",
-                     hash);
-    return hash;
 }
 
 } // namespace acr::harness::wire

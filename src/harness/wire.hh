@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/serde.hh"
 #include "harness/experiment.hh"
@@ -58,7 +57,8 @@ namespace wire
  *      gone (a `--shard` leg writes result-cache files, DESIGN.md
  *      §8.3).
  *  v9: config lost `placementSlack` (kRecomputeAware's deferral bound
- *      is a constant). */
+ *      is a constant). The `hello` record left with the TCP fleet,
+ *      its only sender, without a bump: no remaining encoding changed. */
 inline constexpr std::uint64_t kVersion = 9;
 
 // --- Value encodings (no version envelope; record lines add it) ---
@@ -103,54 +103,24 @@ struct ResultRecord
     ExperimentResult result;
 };
 
-/**
- * The distributed sweep's handshake (DESIGN.md §15): the first record
- * either end of a TCP connection sends, carrying everything both
- * sides must agree on before any point is dealt — the bench name, the
- * exact grid (size + hash over every point's full encoding), and the
- * net-layer framing version. The record's own `v` envelope pins the
- * wire version, so a version-skewed peer is rejected by decodeLine
- * itself before any field is compared.
- */
-struct HelloRecord
-{
-    std::string bench;
-    std::uint64_t gridPoints = 0;
-    std::uint64_t gridHash = 0;
-    std::uint64_t netVersion = 0;
-
-    bool operator==(const HelloRecord &) const = default;
-
-    /** "bench 'B', N point(s), grid HASH, net vV", for mismatch
-     *  reports. */
-    std::string describe() const;
-};
-
 std::string encodePointLine(const PointRecord &record);
 std::string encodeResultLine(const ResultRecord &record);
-std::string encodeHelloLine(const HelloRecord &record);
 
-/** One decoded record line (tagged union over the three types). */
+/** One decoded record line (tagged union over the two types). */
 struct Record
 {
     enum class Type
     {
         kPoint,
         kResult,
-        kHello,
     };
     Type type = Type::kPoint;
     PointRecord point;
     ResultRecord result;
-    HelloRecord hello;
 };
 
 /** Decode any record line; throws SerdeError on bad version/type/keys. */
 Record decodeLine(const std::string &line);
-
-/** FNV-1a over the canonical point-record encodings: two invocations
- *  agree iff they enumerated the identical grid. */
-std::uint64_t gridHash(const std::vector<GridPoint> &points);
 
 } // namespace wire
 } // namespace acr::harness

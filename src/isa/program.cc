@@ -42,6 +42,12 @@ Program::validate() const
     }
     if (!has_halt)
         return "program has no halt instruction";
+    // Only a halt or an unconditional jump keeps the last pc from
+    // stepping past the end.
+    const Opcode last = code_.back().op;
+    if (!isHalt(last) && last != Opcode::kJmp)
+        return csprintf("pc %zu: falls through the program end",
+                        code_.size() - 1);
     return "";
 }
 

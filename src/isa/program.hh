@@ -49,7 +49,8 @@ class Program
     const Instruction &at(std::size_t pc) const { return code_[pc]; }
 
     /**
-     * Static sanity checks: nonempty, ends reachably in kHalt, register
+     * Static sanity checks: nonempty, holds a kHalt, cannot step past
+     * its end (the last instruction is kHalt or kJmp), register
      * indices < kNumRegs, branch targets within [0, size), r0 never
      * written. Returns an empty string when valid, else a description of
      * the first problem found.

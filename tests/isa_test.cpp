@@ -157,6 +157,26 @@ TEST(Program, ValidateCatchesSliceHintOnNonStore)
     EXPECT_NE(p.validate().find("sliceHint"), std::string::npos);
 }
 
+TEST(Program, ValidateCatchesFallThroughEnd)
+{
+    // A halt that is jumped over: pc 2 steps off the end.
+    Program p("fallthrough");
+    p.code().push_back({Opcode::kBeq, 0, 0, 0, 2, false});
+    p.code().push_back({Opcode::kHalt, 0, 0, 0, 0, false});
+    p.code().push_back({Opcode::kMovi, 1, 0, 0, 7, false});
+    EXPECT_EQ(p.validate(), "pc 2: falls through the program end");
+
+    // A conditional branch falls through when it is not taken.
+    Program q("branchend");
+    q.code().push_back({Opcode::kHalt, 0, 0, 0, 0, false});
+    q.code().push_back({Opcode::kBne, 0, 1, 0, 0, false});
+    EXPECT_EQ(q.validate(), "pc 1: falls through the program end");
+
+    // An unconditional jump back is a valid last instruction.
+    q.code()[1] = {Opcode::kJmp, 0, 0, 0, 0, false};
+    EXPECT_EQ(q.validate(), "");
+}
+
 TEST(Program, SliceHintedStoresCountsOnlyHinted)
 {
     ProgramBuilder b("hints");

@@ -10,9 +10,11 @@
 #
 # is byte-identical, that a shard leg prints nothing on stdout and
 # needs a --cache, that the render of the concatenated caches
-# simulates nothing and warns about nothing, that --merge is gone, and
-# that ACR_JOBS goes through the same strict parser as --jobs (garbage
-# exits 1 naming the variable). Invoke with
+# simulates nothing and warns about nothing, that a missing leg renders
+# byte-identically by simulating its points as misses (and the next
+# render is all hits), that --merge is gone, and that ACR_JOBS goes
+# through the same strict parser as --jobs (garbage exits 1 naming the
+# variable). Invoke with
 #   cmake -DBENCH=<path> -DWORKLOADS=<a,b> -DOUT=<scratch dir>
 #         -P shard_smoke.cmake
 
@@ -67,23 +69,63 @@ execute_process(
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "cannot concatenate the shard caches")
 endif()
-execute_process(
-    COMMAND "${BENCH}" "--workloads=${WORKLOADS}"
-            "--cache=${OUT}/all.cache"
-    OUTPUT_FILE "${OUT}/merged.txt"
-    ERROR_VARIABLE stderr
-    RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-    message(FATAL_ERROR "render of the shard caches failed (${status}):\n"
-                        "${stderr}")
-endif()
+# Render the grid from the cache file ${cache} into ${output}; the
+# counts of its "cache: H hit(s), M miss(es), I insert(s)" line land in
+# cache_misses and cache_inserts, and its stderr in render_stderr.
+function(render_from cache output)
+    execute_process(
+        COMMAND "${BENCH}" "--workloads=${WORKLOADS}" "--cache=${cache}"
+        OUTPUT_FILE "${output}"
+        ERROR_VARIABLE stderr
+        RESULT_VARIABLE status)
+    if(NOT status EQUAL 0)
+        message(FATAL_ERROR "render of ${cache} failed (${status}):\n"
+                            "${stderr}")
+    endif()
+    if(NOT stderr MATCHES "cache: [0-9]+ hit\\(s\\), ([0-9]+) miss\\(es\\), ([0-9]+) insert\\(s\\)")
+        message(FATAL_ERROR "render of ${cache} reported no cache "
+                            "counts:\n${stderr}")
+    endif()
+    set(cache_misses ${CMAKE_MATCH_1} PARENT_SCOPE)
+    set(cache_inserts ${CMAKE_MATCH_2} PARENT_SCOPE)
+    set(render_stderr "${stderr}" PARENT_SCOPE)
+endfunction()
+
+render_from("${OUT}/all.cache" "${OUT}/merged.txt")
 expect_identical("${OUT}/reference.txt" "${OUT}/merged.txt"
                  "sharded (--shard legs' caches, concatenated)")
-if(NOT stderr MATCHES "cache: [0-9]+ hit\\(s\\), 0 miss\\(es\\), 0 insert\\(s\\)")
-    message(FATAL_ERROR "render of the shard caches simulated:\n${stderr}")
+if(NOT cache_misses EQUAL 0 OR NOT cache_inserts EQUAL 0)
+    message(FATAL_ERROR "render of the shard caches simulated:\n"
+                        "${render_stderr}")
 endif()
-if(stderr MATCHES "warn:")
-    message(FATAL_ERROR "render of the shard caches warned:\n${stderr}")
+if(render_stderr MATCHES "warn:")
+    message(FATAL_ERROR "render of the shard caches warned:\n"
+                        "${render_stderr}")
+endif()
+
+# A lost leg costs simulation, never output: rendering from leg 0's
+# file alone simulates leg 1's points as misses and appends them, so
+# the output still matches and the next render is all hits.
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E copy
+            "${OUT}/shard0.cache" "${OUT}/partial.cache"
+    RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+    message(FATAL_ERROR "cannot copy leg 0's cache")
+endif()
+render_from("${OUT}/partial.cache" "${OUT}/partial.txt")
+expect_identical("${OUT}/reference.txt" "${OUT}/partial.txt"
+                 "render with a missing --shard leg")
+if(cache_misses EQUAL 0 OR NOT cache_misses EQUAL cache_inserts)
+    message(FATAL_ERROR "render with a missing leg did not simulate it "
+                        "as misses:\n${render_stderr}")
+endif()
+render_from("${OUT}/partial.cache" "${OUT}/partial2.txt")
+expect_identical("${OUT}/reference.txt" "${OUT}/partial2.txt"
+                 "rerender after a missing leg")
+if(NOT cache_misses EQUAL 0)
+    message(FATAL_ERROR "rerender after a missing leg simulated:\n"
+                        "${render_stderr}")
 endif()
 
 # A shard leg's only output is its cache file, so it needs one; and
@@ -123,5 +165,6 @@ if(NOT stderr MATCHES "ACR_JOBS")
             "parse error does not name the variable:\n${stderr}")
 endif()
 
-message(STATUS "shard smoke: concatenated shard caches and forked "
-               "output byte-identical, ACR_JOBS parsed strictly")
+message(STATUS "shard smoke: concatenated shard caches, a missing "
+               "leg and forked output byte-identical, ACR_JOBS parsed "
+               "strictly")

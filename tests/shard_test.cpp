@@ -358,23 +358,18 @@ TEST(WorkerLoop, SpeaksTheWireProtocol)
     EXPECT_EQ(indices, (std::vector<std::uint64_t>{2, 0, 4}));
 }
 
-TEST(WorkerLoop, AnswersPingsAndEndsOnShutdownOrEof)
+TEST(WorkerLoop, EndsOnShutdownOrEof)
 {
     RunnerPool pool;
     std::string reply;
 
-    // A ping gets a pong; a shutdown exits 0 without reading further.
+    // A shutdown exits 0 without reading further or answering.
     EXPECT_EQ(runWorker(pool,
-                        net::encodeFrame(net::FrameType::kPing, "") +
-                            net::encodeFrame(net::FrameType::kShutdown,
-                                             "") +
+                        net::encodeFrame(net::FrameType::kShutdown, "") +
                             "not even a frame",
                         reply),
               0);
-    const auto frames = splitFrames(reply);
-    ASSERT_EQ(frames.size(), 1u);
-    EXPECT_EQ(frames[0].type, net::FrameType::kPong);
-    EXPECT_TRUE(frames[0].payload.empty());
+    EXPECT_TRUE(reply.empty());
 
     // EOF between frames — the coordinator closed the stream — is a
     // clean end too.
@@ -400,7 +395,7 @@ TEST(WorkerLoop, RejectsGarbageWithNonzeroStatus)
               0);
 
     // An unknown frame type.
-    std::string unknown = net::encodeFrame(net::FrameType::kPing, "");
+    std::string unknown = net::encodeFrame(net::FrameType::kShutdown, "");
     unknown[4] = 9;
     EXPECT_NE(runWorker(pool, unknown, reply), 0);
 

@@ -2,9 +2,10 @@
  * @file
  * Fault-tolerance layer tests (DESIGN.md §10): backoff determinism,
  * workload-affine dealing (Supervisor::pick on a fig06-shaped grid),
- * the forked fleet against stand-in workers that crash at startup or
- * wedge (one process per attempt, every child reaped, the coordinator
- * asleep while they hold their points), the quarantine
+ * the forked fleet against stand-in workers that crash at startup,
+ * wedge, or answer with a torn or garbled frame (one process per
+ * attempt, every child reaped, the coordinator asleep while they hold
+ * their points), the quarantine
  * placeholder, its FAILED-cell rendering and the wire's refusal to
  * encode it, and the restart journal of a killed sweep — the ResultCache
  * seen by grid index (ResultCache::served): fresh/reload round trips
@@ -365,6 +366,50 @@ TEST(ForkedFleet, WatchdogKillsAndReapsWedgedWorkers)
             << result.failReason;
     }
     EXPECT_EQ(stats.get("sweep.watchdogKills"), 4.0);
+    EXPECT_EQ(stats.get("sweep.quarantined"), 2.0);
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(ForkedFleet, TornAndGarbledFramesAreRetriedThenQuarantined)
+{
+    // Stand-ins that answer their point with a broken frame. A frame
+    // torn by the worker's exit reads as that exit; a complete frame
+    // of garbage is a protocol error, and its still-running sender is
+    // killed. Either way each point is retried once on a fresh worker,
+    // then quarantined, and no child outlives the sweep.
+    ShardedSweep::SweepControls controls;
+    controls.supervise.retries = 1;
+
+    // Torn: a header claiming 100 bytes, four of them, then exit 0.
+    StatSet stats;
+    auto results = runStandIns(
+        {"/bin/sh", "-c", "printf '\\144\\000\\000\\000\\001{\"v\"'"},
+        controls, stats);
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto &result : results) {
+        EXPECT_TRUE(result.failed);
+        EXPECT_EQ(result.attempts, 2u);
+        EXPECT_EQ(result.failReason, "worker exited with status 0");
+    }
+    EXPECT_EQ(stats.get("sweep.quarantined"), 2.0);
+
+    // Garbled: a well-framed 7-byte payload that is no wire record,
+    // from a worker that then sleeps instead of exiting.
+    results = runStandIns(
+        {"/bin/sh", "-c",
+         "printf '\\007\\000\\000\\000\\001garbage'; exec sleep 30"},
+        controls, stats);
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto &result : results) {
+        EXPECT_TRUE(result.failed);
+        EXPECT_EQ(result.attempts, 2u);
+        EXPECT_NE(result.failReason.find("protocol error"),
+                  std::string::npos)
+            << result.failReason;
+    }
+    EXPECT_EQ(stats.get("sweep.workerCrashes"), 4.0);
     EXPECT_EQ(stats.get("sweep.quarantined"), 2.0);
     errno = 0;
     EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);

@@ -278,29 +278,6 @@ TEST(WireRecords, VersionAndTypeEnforced)
     EXPECT_THROW(wire::decodeLine("[1,2,3]"), SerdeError);
 }
 
-TEST(WireGridHash, SensitiveToEveryAxis)
-{
-    std::vector<GridPoint> grid = {{"bt", {}, 8}, {"is", {}, 8}};
-    const std::uint64_t base = wire::gridHash(grid);
-    EXPECT_EQ(wire::gridHash(grid), base);  // deterministic
-
-    auto reordered = grid;
-    std::swap(reordered[0], reordered[1]);
-    EXPECT_NE(wire::gridHash(reordered), base);
-
-    auto retuned = grid;
-    retuned[1].config.numCheckpoints += 1;
-    EXPECT_NE(wire::gridHash(retuned), base);
-
-    auto rescaled = grid;
-    rescaled[0].threads = 32;
-    EXPECT_NE(wire::gridHash(rescaled), base);
-
-    auto shrunk = grid;
-    shrunk.pop_back();
-    EXPECT_NE(wire::gridHash(shrunk), base);
-}
-
 TEST(ConfigValidate, AcceptsTheDefaultMatrix)
 {
     EXPECT_EQ(ExperimentConfig{}.validate(), "");
