@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "bench_util.hh"
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
@@ -19,6 +22,7 @@
 #include "mem/main_memory.hh"
 #include "slice/engine.hh"
 #include "slice/instance.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -78,28 +82,91 @@ BM_MainMemoryWrite(benchmark::State &state)
 }
 BENCHMARK(BM_MainMemoryWrite);
 
-void
-BM_CoreExecution(benchmark::State &state)
+/** Sums the old values of stores, the only pcs it watches: the
+ *  observer shape a Ckpt run's driver has. */
+class StoreWatcher final : public cpu::ExecObserver
 {
-    isa::ProgramBuilder b("spin");
-    b.movi(1, 0);
-    b.movi(2, 1 << 30);
-    b.label("loop");
-    b.addi(1, 1, 1);
-    b.muli(3, 1, 17);
-    b.xori(3, 3, 99);
-    b.bltu(1, 2, "loop");
-    b.halt();
-    auto program = b.build();
+  public:
+    explicit StoreWatcher(const isa::Program &program)
+    {
+        std::vector<std::uint8_t> mask(program.size(), 0);
+        markStores(program, mask);
+        watchOnly(std::move(mask));
+    }
+
+    void onInstr(const cpu::InstrEvent &event) override
+    {
+        sum += event.oldValue;
+    }
+
+    Word sum = 0;
+};
+
+/** One core over its own memory and caches, loaded with a program. */
+struct CoreRig
+{
+    explicit CoreRig(const isa::Program &program)
+        : caches(1, cache::HierarchyConfig{}, mem::DramConfig{}),
+          core(0, program, memory, caches, cpu::CoreTimingConfig{})
+    {
+        for (const auto &[addr, value] : program.data().words)
+            memory.write(addr, value);
+    }
+
     mem::MainMemory memory;
-    cache::CacheSystem caches(1, cache::HierarchyConfig{},
-                              mem::DramConfig{});
-    cpu::Core core(0, program, memory, caches, cpu::CoreTimingConfig{});
-    for (auto _ : state)
-        core.run(1000, nullptr);
-    state.SetItemsProcessed(state.iterations() * 1000);
+    cache::CacheSystem caches;
+    cpu::Core core;
+};
+
+/**
+ * Core dispatch in 1000-instruction quanta. "spin" runs an ALU loop
+ * with no observer; "cg_stores_watched" runs the cg kernel built for
+ * one thread through an observer that watches only stores, the path a
+ * Ckpt run takes, and restarts the kernel when it halts.
+ */
+void
+BM_CoreExecution(benchmark::State &state, bool kernel)
+{
+    isa::Program program;
+    if (kernel) {
+        workloads::WorkloadParams params;
+        params.threads = 1;
+        program = workloads::makeWorkload("cg")->build(params);
+    } else {
+        isa::ProgramBuilder b("spin");
+        b.movi(1, 0);
+        b.movi(2, 1 << 30);
+        b.label("loop");
+        b.addi(1, 1, 1);
+        b.muli(3, 1, 17);
+        b.xori(3, 3, 99);
+        b.bltu(1, 2, "loop");
+        b.halt();
+        program = b.build();
+    }
+    StoreWatcher watcher(program);
+    auto rig = std::make_unique<CoreRig>(program);
+    std::uint64_t instrs = 0;
+    for (auto _ : state) {
+        cpu::Core &core = rig->core;
+        const std::uint64_t before = core.instrsRetired();
+        const cpu::CoreState run_state = kernel
+                                             ? core.run(1000, &watcher)
+                                             : core.run(1000, nullptr);
+        instrs += core.instrsRetired() - before;
+        if (run_state == cpu::CoreState::kAtBarrier) {
+            core.releaseBarrier(core.cycle());
+        } else if (run_state == cpu::CoreState::kHalted) {
+            state.PauseTiming();
+            rig = std::make_unique<CoreRig>(program);
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(watcher.sum);
+    state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
 }
-BENCHMARK(BM_CoreExecution);
+BENCHMARK_CAPTURE(BM_CoreExecution, spin, false);
+BENCHMARK_CAPTURE(BM_CoreExecution, cg_stores_watched, true);
 
 void
 BM_SlicerTracking(benchmark::State &state, unsigned chain)

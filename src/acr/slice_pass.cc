@@ -14,18 +14,21 @@ namespace
 
 /**
  * Pin-tool-style instrumentation callback. Every store is a candidate,
- * so the slicer observes every result that can reach a store's value.
+ * so the observer watches every store and every result that can reach
+ * a store's value.
  */
 class PassObserver final : public cpu::ExecObserver
 {
   public:
     PassObserver(slice::SliceEngine &slicer, const isa::Program &program,
                  std::uint64_t memory_digest)
-        : slicer_(slicer),
-          relevant_(slice::relevantPcs(program,
-                                       slice::BuildingStores::kEvery)),
-          hintedPcs_(program.size(), 0), memoryDigest_(memory_digest)
+        : slicer_(slicer), hintedPcs_(program.size(), 0),
+          memoryDigest_(memory_digest)
     {
+        std::vector<std::uint8_t> mask =
+            slice::relevantPcs(program, slice::BuildingStores::kEvery);
+        markStores(program, mask);
+        watchOnly(std::move(mask));
     }
 
     void
@@ -44,8 +47,7 @@ class PassObserver final : public cpu::ExecObserver
             }
             return;
         }
-        if (relevant_[event.pc])
-            slicer_.observe(event);
+        slicer_.observe(event);
     }
 
     bool
@@ -60,8 +62,6 @@ class PassObserver final : public cpu::ExecObserver
 
   private:
     slice::SliceEngine &slicer_;
-    /** Per-pc slicer relevance (slice/relevance.hh). */
-    std::vector<std::uint8_t> relevant_;
     /** Per-pc hint flags, indexed by static pc (dense, hot). */
     std::vector<std::uint8_t> hintedPcs_;
     slice::SliceRepository repo_;

@@ -9,7 +9,8 @@ namespace acr::cache
 {
 
 Cache::Cache(const CacheConfig &config)
-    : config_(config), sets_(config.sets())
+    : config_(config), sets_(config.sets()),
+      setMask_(std::has_single_bit(sets_) ? sets_ - 1 : 0)
 {
     ACR_ASSERT(config_.ways > 0, "%s: zero ways", config_.name.c_str());
     ACR_ASSERT(sets_ > 0, "%s: size too small for geometry",

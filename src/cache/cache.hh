@@ -134,7 +134,13 @@ class Cache
     /** Sentinel way index for "not resident". */
     static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    std::size_t setOf(LineId line) const { return line % sets_; }
+    /** A mask when the set count is a power of two, as every Table I
+     *  geometry is; a division otherwise. */
+    std::size_t
+    setOf(LineId line) const
+    {
+        return setMask_ != 0 ? line & setMask_ : line % sets_;
+    }
 
     /** Way index of @p line, or kNoWay. */
     std::size_t
@@ -172,6 +178,8 @@ class Cache
 
     CacheConfig config_;
     std::size_t sets_;
+    /** sets_ - 1 when sets_ is a power of two above 1, else 0. */
+    std::size_t setMask_;
 
     // Structure-of-arrays way state, set-major (way i of set s lives at
     // index s * ways + i). Valid/dirty are packed 64-ways-per-word.

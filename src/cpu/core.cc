@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <string>
+
 #include "common/logging.hh"
 
 namespace acr::cpu
@@ -14,7 +16,33 @@ Core::Core(CoreId id, const isa::Program &program, mem::MainMemory &memory,
 {
     ACR_ASSERT(timing_.issueWidth >= 1, "issue width must be >= 1");
     ACR_ASSERT(timing_.mlpFactor >= 1.0, "mlp factor must be >= 1");
+    const std::string invalid = program_.validate();
+    ACR_ASSERT(invalid.empty(), "core %u: program '%s' invalid: %s", id_,
+               program_.name().c_str(), invalid.c_str());
     regs_.fill(0);
+
+    const std::size_t size = program_.size();
+    aluRun_.assign(size, 0);
+    for (std::size_t pc = size; pc-- > 0;) {
+        if (isa::isSliceable(program_.at(pc).op))
+            aluRun_[pc] = aluRun_[pc + 1] + 1;
+    }
+    noPcs_.assign(size, 0);
+    everyPc_.assign(size, 1);
+}
+
+const std::uint8_t *
+Core::watchMask(const ExecObserver *observer) const
+{
+    if (!observer)
+        return noPcs_.data();
+    const std::vector<std::uint8_t> &mask = observer->watchedPcs();
+    if (mask.empty())
+        return everyPc_.data();
+    ACR_ASSERT(mask.size() == program_.size(),
+               "core %u: watch mask has %zu pcs, program %zu", id_,
+               mask.size(), program_.size());
+    return mask.data();
 }
 
 CoreState

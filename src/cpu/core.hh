@@ -9,9 +9,11 @@
 #ifndef ACR_CPU_CORE_HH
 #define ACR_CPU_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
@@ -88,13 +90,15 @@ struct CoreCounters
 class Core
 {
   public:
+    /** @p program must validate (isa::Program::validate) and must not
+     *  change while the core exists. */
     Core(CoreId id, const isa::Program &program, mem::MainMemory &memory,
          cache::CacheSystem &caches, const CoreTimingConfig &timing);
 
     /**
      * Execute up to @p max_instrs instructions, stopping early at a
      * barrier or halt. @p observer (may be null) sees every retired
-     * instruction.
+     * instruction at a pc it watches (ExecObserver::watchedPcs).
      *
      * The quantum loop is a template over the concrete observer type:
      * when the caller passes a final observer class (the experiment
@@ -225,18 +229,39 @@ class Core
     std::optional<Cycle> corruptionEvent_;
 
     CoreCounters counters_;
+
+    /**
+     * Per pc: the length of the straight-line ALU run starting there,
+     * 0 at any other instruction. A run ends before the program's end,
+     * because a valid program's last instruction is a kHalt or kJmp.
+     */
+    std::vector<std::uint32_t> aluRun_;
+
+    /** Watch masks for a null observer (no pc) and for one that
+     *  watches every pc. */
+    std::vector<std::uint8_t> noPcs_;
+    std::vector<std::uint8_t> everyPc_;
+
+    /** The per-pc mask of the pcs at which run() reports to
+     *  @p observer. */
+    const std::uint8_t *watchMask(const ExecObserver *observer) const;
 };
 
 // The dispatch loop lives in the header so every observer type gets
 // its own fully-inlined instantiation (see the run() doc comment).
 //
-// The hot core state (pc, cycle, issue slot, counters, fetch tally)
+// The hot core state (pc, cycle, issue slot, counters, retired tally)
 // lives in locals for the whole quantum and is committed back to the
 // members only at the exits. This is safe because no observer reads
 // core state mid-quantum — the checkpoint substrate, the ACR engine,
 // and the slicer all work from the InstrEvent alone — and it lets the
 // compiler keep the loop state in registers across the inlined
 // observer body instead of spilling every field each iteration.
+//
+// A straight-line run of ALU instructions executes in one tight loop
+// and charges its issue slots in bulk; loads, stores, branches,
+// barriers and halts take the per-instruction path, because their
+// stalls and penalties read the cycle (DESIGN.md §13.3).
 template <class Obs>
 CoreState
 Core::run(std::uint64_t max_instrs, Obs *observer)
@@ -245,54 +270,93 @@ Core::run(std::uint64_t max_instrs, Obs *observer)
         return state_;
 
     const Cycle l1d_latency = caches_.config().l1d.latency;
+    const std::size_t size = program_.size();
+    const isa::Instruction *const code = program_.code().data();
+    const unsigned width = timing_.issueWidth;
+    const std::uint32_t *const alu_run = aluRun_.data();
+    const std::uint8_t *const watched = watchMask(observer);
 
     std::size_t pc = pc_;
     Cycle cycle = cycle_;
     unsigned issue_buf = issueBuf_;
     CoreCounters cnt = counters_;
-    std::uint64_t fetched = 0;
+    std::uint64_t retired = 0;
 
+    // Instructions retired and L1I fetches both equal the quantum's
+    // retired count.
     auto commit = [&] {
         pc_ = pc;
         cycle_ = cycle;
         issueBuf_ = issue_buf;
+        cnt.instrs += retired;
         counters_ = cnt;
-        caches_.addFetches(id_, fetched);
+        caches_.addFetches(id_, retired);
     };
 
-    for (std::uint64_t n = 0; n < max_instrs; ++n) {
-        ACR_ASSERT(pc < program_.size(), "core %u ran off program end",
-                   id_);
-        const isa::Instruction &inst = program_.at(pc);
-        ++fetched;
+    auto alu = [&](std::size_t at, Word flip) {
+        const isa::Instruction &inst = code[at];
+        const Word value = isa::evalArith(inst.op, regs_[inst.rs1],
+                                          regs_[inst.rs2], inst.imm, id_)
+                           ^ flip;
+        regs_[inst.rd] = value;  // rd != 0: validate() rejects r0 writes
+        if (watched[at]) {
+            InstrEvent event;
+            event.core = id_;
+            event.pc = at;
+            event.inst = &inst;
+            event.result = value;
+            observer->onInstr(event);
+        }
+    };
+
+    while (retired < max_instrs) {
+        ACR_ASSERT(pc < size, "core %u ran off program end", id_);
+
+        if (const std::uint32_t run_len = alu_run[pc]; run_len != 0) {
+            // k ALU instructions from slot b advance the cycle by
+            // (b + k) / width and leave slot (b + k) % width, exactly
+            // as k single-slot increments do. The run stops at the
+            // quantum limit, which sets how the cores interleave.
+            const std::size_t k = static_cast<std::size_t>(
+                std::min<std::uint64_t>(run_len, max_instrs - retired));
+            const std::size_t end = pc + k;
+            std::size_t at = pc;
+            if (corruptMask_) {
+                // The run's first instruction is the first register
+                // write since the corruption was scheduled; it lands at
+                // the cycle of its own slot. Corruptions are scheduled
+                // only between quanta, so none is pending past it.
+                const Word flip = *corruptMask_;
+                corruptMask_.reset();
+                corruptionEvent_ = cycle + (issue_buf + 1) / width;
+                alu(at++, flip);
+            }
+            for (; at < end; ++at)
+                alu(at, 0);
+            const unsigned slots = issue_buf + static_cast<unsigned>(k);
+            cycle += slots / width;
+            issue_buf = slots % width;
+            cnt.aluOps += k;
+            retired += k;
+            pc = end;
+            continue;
+        }
+
+        const isa::Instruction &inst = code[pc];
 
         InstrEvent event;
         event.core = id_;
         event.pc = pc;
         event.inst = &inst;
 
-        // Issue-slot accounting shared by all instruction classes.
-        if (++issue_buf >= timing_.issueWidth) {
+        if (++issue_buf >= width) {
             issue_buf = 0;
             ++cycle;
         }
 
         std::size_t next_pc = pc + 1;
 
-        if (isSliceable(inst.op)) {
-            Word a = regs_[inst.rs1];
-            Word b = regs_[inst.rs2];
-            Word value = isa::evalArith(inst.op, a, b, inst.imm, id_);
-            if (corruptMask_) {
-                value ^= *corruptMask_;
-                corruptMask_.reset();
-                corruptionEvent_ = cycle;
-            }
-            regs_[inst.rd] = value;
-            regs_[0] = 0;
-            event.result = value;
-            ++cnt.aluOps;
-        } else if (isa::isLoad(inst.op)) {
+        if (isa::isLoad(inst.op)) {
             Addr addr = regs_[inst.rs1] + static_cast<Word>(inst.imm);
             Word value = memory_.read(addr);
             if (corruptMask_) {
@@ -310,7 +374,6 @@ Core::run(std::uint64_t max_instrs, Obs *observer)
                 cnt.memStallCycles += stall;
             }
             regs_[inst.rd] = value;
-            regs_[0] = 0;
             event.result = value;
             event.addr = addr;
             ++cnt.loads;
@@ -356,16 +419,16 @@ Core::run(std::uint64_t max_instrs, Obs *observer)
             // Stay at this pc; the system releases us past it.
             state_ = CoreState::kAtBarrier;
             ++cnt.barriers;
-            ++cnt.instrs;
+            ++retired;
             commit();
-            if (observer)
+            if (watched[event.pc])
                 observer->onInstr(event);
             return state_;
         } else if (isa::isHalt(inst.op)) {
             state_ = CoreState::kHalted;
-            ++cnt.instrs;
+            ++retired;
             commit();
-            if (observer)
+            if (watched[event.pc])
                 observer->onInstr(event);
             return state_;
         } else {
@@ -373,8 +436,8 @@ Core::run(std::uint64_t max_instrs, Obs *observer)
         }
 
         pc = next_pc;
-        ++cnt.instrs;
-        if (observer)
+        ++retired;
+        if (watched[event.pc])
             observer->onInstr(event);
     }
     commit();

@@ -26,16 +26,20 @@ namespace
 class DriverObserver final : public cpu::ExecObserver
 {
   public:
-    /** @p slicer, when given, observes only the results that can reach
-     *  a hinted store of @p program, the only stores that build. */
+    /** Watches every store of @p program and, when @p slicer is given,
+     *  the results that can reach a hinted store, the only stores that
+     *  build (slice/relevance.hh). */
     DriverObserver(ckpt::CheckpointManager &manager,
                    amnesic::AcrEngine *acr, slice::SliceEngine *slicer,
                    const isa::Program &program)
         : manager_(manager), acr_(acr), slicer_(slicer)
     {
-        if (slicer_)
-            relevant_ = slice::relevantPcs(program,
-                                           slice::BuildingStores::kHinted);
+        std::vector<std::uint8_t> mask =
+            slicer_ ? slice::relevantPcs(program,
+                                         slice::BuildingStores::kHinted)
+                    : std::vector<std::uint8_t>(program.size(), 0);
+        markStores(program, mask);
+        watchOnly(std::move(mask));
     }
 
     void
@@ -50,16 +54,13 @@ class DriverObserver final : public cpu::ExecObserver
                 acr_->onStoreRetired(event);
             return;
         }
-        if (slicer_ && relevant_[event.pc])
-            slicer_->observe(event);
+        slicer_->observe(event);
     }
 
   private:
     ckpt::CheckpointManager &manager_;
     amnesic::AcrEngine *acr_;
     slice::SliceEngine *slicer_;
-    /** Per-pc slicer relevance (slice/relevance.hh). */
-    std::vector<std::uint8_t> relevant_;
 };
 
 } // namespace

@@ -83,6 +83,36 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_FALSE(cache.contains(4)) << "LRU way (4) must be evicted";
 }
 
+TEST(Cache, NonPowerOfTwoSetCountMapsByModulo)
+{
+    // 3 sets x 2 ways: lines 0, 3 and 6 share set 0, so the third
+    // access evicts the least recently used of them, line 0.
+    Cache three(tinyCache(2, 6));
+    three.access(0, false);
+    three.access(3, false);
+    EXPECT_FALSE(three.access(6, false).hit);
+    EXPECT_FALSE(three.contains(0));
+    EXPECT_TRUE(three.contains(3));
+    EXPECT_TRUE(three.contains(6));
+
+    // Lines 0, 1 and 2 fall in three different sets.
+    Cache spread(tinyCache(2, 6));
+    for (LineId line : {0, 1, 2})
+        spread.access(line, false);
+    for (LineId line : {0, 1, 2})
+        EXPECT_TRUE(spread.access(line, false).hit) << "line " << line;
+    EXPECT_EQ(spread.counters().evictions, 0u);
+
+    // 4 sets x 2 ways, a power of two: the set mask maps lines 0, 4
+    // and 8 to set 0, so the third access evicts line 0.
+    Cache four(tinyCache(2, 8));
+    four.access(0, false);
+    four.access(4, false);
+    EXPECT_FALSE(four.access(8, false).hit);
+    EXPECT_FALSE(four.contains(0));
+    EXPECT_EQ(four.counters().evictions, 1u);
+}
+
 TEST(Cache, DirtyEvictionReportsVictim)
 {
     Cache cache(tinyCache(2, 8));

@@ -44,7 +44,7 @@ TEST(MiscCpu, DivisionCornersThroughThePipeline)
 TEST(MiscCache, L2EvictionEnforcesInclusionOnL1)
 {
     cache::HierarchyConfig hier;
-    hier.l1d.sizeBytes = 2 * kLineBytes;  // 2 lines, 8-way -> 1 set?
+    hier.l1d.sizeBytes = 2 * kLineBytes;  // 2 lines, 2 ways -> 1 set
     hier.l1d.ways = 2;
     hier.l2.sizeBytes = 4 * kLineBytes;
     hier.l2.ways = 2;
